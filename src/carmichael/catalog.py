@@ -73,18 +73,32 @@ def _open_text(source: str | Path) -> io.TextIOBase:
     return open(path, encoding="utf-8")
 
 
+def _lines(fh):
+    """The lines of fh; a compressed stream that ends early is an error."""
+    try:
+        yield from fh
+    except EOFError:
+        raise CatalogFormatError(
+            "the compressed stream ends early: the catalog is truncated"
+        ) from None
+
+
 def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
     """Parse a catalog file; optionally re-verify every entry.
 
     With validate=True each record is checked against the full entry
     invariants (ascending prime factors, correct product, the Korselt
-    divisibility conditions), which makes corrupted records loud.
+    divisibility conditions), which makes corrupted records loud.  A
+    last record without a line end, or a `count` header that disagrees
+    with the records read, is always an error, so a truncated file cannot
+    pass for a shorter catalog.
     """
     entries: list[CarmichaelEntry] = []
     provenance: dict[str, str] = {}
     last = 0
+    cut_short = False
     with _open_text(source) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_lines(fh), start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
@@ -114,6 +128,18 @@ def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
                 except ValueError as exc:
                     raise CatalogFormatError(f"line {lineno}: {exc}") from None
             entries.append(entry)
+            cut_short = not raw.endswith("\n")
+    declared = provenance.get("count")
+    if declared is not None and declared != str(len(entries)):
+        raise CatalogFormatError(
+            f"header count {declared} but {len(entries)} records:"
+            " the catalog is truncated or damaged"
+        )
+    if cut_short:
+        raise CatalogFormatError(
+            f"line {lineno}: the last record has no line end:"
+            " the catalog is truncated"
+        )
     return Catalog(entries, provenance)
 
 

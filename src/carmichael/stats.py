@@ -69,9 +69,14 @@ def default_checkpoints(bound: int) -> list[int]:
 
 
 def validate_checkpoints(cat: Catalog, cps: list[int]) -> None:
-    if list(cps) != sorted(set(cps)) or (cps and cps[0] < 561):
-        raise ValueError("checkpoints must be ascending and at least 561")
     bound = cat.limit
+    if not cps:
+        raise ValueError(
+            f"no checkpoints: the default decades start at 10**3,"
+            f" the catalog bound is {bound}"
+        )
+    if list(cps) != sorted(set(cps)) or cps[0] < 561:
+        raise ValueError("checkpoints must be ascending and at least 561")
     if bound is None:
         return
     for x in cps:

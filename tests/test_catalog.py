@@ -129,3 +129,27 @@ def test_merge_associative_commutative():
     right = merge([a, merge([b, c])])
     shuffled = merge([c, a, b])
     assert left.entries == right.entries == shuffled.entries == full
+
+
+def test_count_header_mismatch_is_rejected(tmp_path):
+    path = tmp_path / "cat.txt"
+    cat = small_catalog()
+    cat.provenance["count"] = str(len(cat))
+    write_catalog(cat, path)
+    assert len(read_catalog(path)) == len(cat)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-2]))
+    with pytest.raises(CatalogFormatError, match="header count 7 but 5 records"):
+        read_catalog(path)
+    # Cut inside the last record: the count still matches, the line end is gone.
+    path.write_text("".join(lines)[:-4])
+    with pytest.raises(CatalogFormatError, match="no line end"):
+        read_catalog(path)
+
+
+def test_truncated_gzip_is_rejected(tmp_path):
+    path = tmp_path / "cat.txt.gz"
+    write_catalog(small_catalog(10**5), path)
+    path.write_bytes(path.read_bytes()[:-20])
+    with pytest.raises(CatalogFormatError, match="ends early"):
+        read_catalog(path)

@@ -173,3 +173,24 @@ def test_stats_checkpoint_beyond_catalog_bound(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+def test_stats_below_the_first_default_checkpoint(tmp_path, capsys):
+    cat_path = tmp_path / "cat.txt"
+    main(["enumerate", "--limit", "900", "--out", str(cat_path)])
+    capsys.readouterr()
+    args = ["stats", "--input", str(cat_path), "--out-dir", str(tmp_path / "t")]
+    assert main(args) == 2
+    assert "no checkpoints" in capsys.readouterr().err
+    assert main(args + ["--checkpoints", "700"]) == 0
+    assert (tmp_path / "t" / "counts.csv").read_text() == "checkpoint,count\n700,1\n"
+
+
+def test_stats_rejects_a_truncated_catalog(tmp_path, capsys):
+    cat_path, cut = tmp_path / "cat.txt", tmp_path / "cut.txt"
+    main(["enumerate", "--limit", "1e6", "--out", str(cat_path)])
+    capsys.readouterr()
+    cut.write_bytes(cat_path.read_bytes()[:400])
+    code = main(["stats", "--input", str(cut), "--out-dir", str(tmp_path / "t")])
+    assert code == 2
+    assert "header count 43 but 20 records" in capsys.readouterr().err

@@ -1,0 +1,178 @@
+"""The batched leaf layer against the engine's own scalar leaf.
+
+`_LeafBatch` completes leaf parents (prefixes of d - 2 primes) in int64
+numpy; `_complete_final` is the scalar leaf it replaces below 2**62.
+Both are run here on the same parents and must emit the same numbers.
+"""
+
+import math
+import random
+from bisect import bisect_left, bisect_right
+
+import numpy as np
+import pytest
+
+from carmichael import enumerator
+from carmichael.arith import iroot
+from carmichael.catalog import write_catalog
+from carmichael.enumerator import (
+    EnumerationConfig,
+    _complete_final,
+    _descend,
+    _inverse_mod,
+    _LeafBatch,
+    _seed_tasks,
+    _Tables,
+    enumerate_carmichael,
+)
+from carmichael.primes import is_prime
+
+
+def fibonacci_below(bound):
+    a, b = 1, 2
+    while b < bound:
+        a, b = b, a + b
+    return a, b - a  # the two largest Fibonacci numbers below bound
+
+
+def test_inverse_mod_matches_pow():
+    rng = random.Random(62)
+    top = 1 << 62
+    f_hi, f_lo = fibonacci_below(top)  # the longest Euclid chain below 2**62
+    pairs = [(1, 2), (1, 3), (2, 3), (f_lo, f_hi), (f_hi - f_lo, f_hi)]
+    for m in (top - 1, top - 3, top - 57, 5, 97, 1 << 40):
+        pairs += [(1, m), (m - 1, m), (m + 1, m), (top - 1, m)]
+    while len(pairs) < 20000:
+        m = rng.randrange(2, 1 << rng.randint(2, 62))
+        a = rng.randrange(1, m)
+        pairs.append((a, m))
+    pairs = [(a, m) for a, m in pairs if math.gcd(a, m) == 1]
+    a = np.array([a for a, _ in pairs], dtype=np.int64)
+    m = np.array([m for _, m in pairs], dtype=np.int64)
+    got = _inverse_mod(a, m).tolist()
+    assert got == [pow(a, -1, m) for a, m in pairs]
+
+
+class _Recorder:
+    """Stands in for a `_LeafBatch` and keeps the parents `_descend` adds."""
+
+    def __init__(self):
+        self.parents = []
+
+    def add(self, primes, product, carry, lo, hi, out):
+        if lo < hi:
+            self.parents.append((primes, product, carry, lo, hi))
+
+
+def scalar_leaves(parents, limit, tables):
+    """Each candidate p pruned as `_descend` does, then `_complete_final`."""
+    out = []
+    for primes, product, carry, lo, hi in parents:
+        for p in tables.sieve[lo:hi]:
+            if carry % p == 0 or math.gcd(product, p - 1) != 1:
+                continue
+            _complete_final(primes + (p,), product * p, math.lcm(carry, p - 1),
+                            limit, tables, out, "last-prime")
+    return sorted(out)
+
+
+def batched_leaves(parents, limit, tables):
+    batch, out = _LeafBatch(limit, tables), []
+    for parent in parents:
+        batch.add(*parent, out)
+    batch.flush(out)
+    return sorted(out)
+
+
+def test_every_leaf_parent_below_1e9(monkeypatch):
+    monkeypatch.setattr(enumerator, "_FLUSH", 1000)  # many flushes, split slices
+    limit = 10**9
+    tables = _Tables.for_limit(limit)
+    recorder = _Recorder()
+    for d, *primes in _seed_tasks(EnumerationConfig(limit), tables):
+        primes = tuple(primes)
+        _descend(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
+                 d, limit, "last-prime", tables, [], recorder)
+    batched = batched_leaves(recorder.parents, limit, tables)
+    assert batched == scalar_leaves(recorder.parents, limit, tables)
+    assert len(batched) == 646  # C(10**9): every entry closes one parent
+
+
+def chernick_parents(limit, tables, count):
+    """Parents (6k+1,) whose slice holds 12k+1, closed by r = 18k+1."""
+    sieve = tables.sieve
+    k = min(iroot(limit // 1296, 3), (sieve[-1] - 1) // 12 - 2)
+    parents, expected = [], []
+    while len(parents) < count and k > 0:
+        primes = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if math.prod(primes) < limit and all(map(is_prime, primes)):
+            i = bisect_left(sieve, primes[1])
+            lo = max(bisect_right(sieve, primes[0]), i - 20)
+            parents.append((primes[:1], primes[0], 6 * k, lo, i + 20))
+            expected.append((math.prod(primes), primes))
+        k -= 1
+    return parents, expected
+
+
+def random_parents(rng, limit, tables, count):
+    """Prefixes of 1 to 4 small odd primes with gcd(P, L) = 1."""
+    sieve = tables.sieve
+    parents = []
+    while len(parents) < count:
+        idx = sorted(rng.sample(range(1, 2000), rng.randint(1, 4)))
+        primes = tuple(sieve[i] for i in idx)
+        product = math.prod(primes)
+        carry = math.lcm(*(p - 1 for p in primes))
+        if math.gcd(product, carry) != 1:
+            continue
+        lo = idx[-1] + 1
+        top = bisect_right(sieve, math.isqrt((limit - 1) // product))
+        hi = min(top, lo + rng.randint(1, 1500))
+        if lo < hi:
+            parents.append((primes, product, carry, lo, hi))
+    return parents
+
+
+# 852863868951625009 = 521887 * 1043773 * 1565659 (k = 86981): one above it,
+# its last prime is exactly rmax = (limit - 1) // (P * p).
+@pytest.mark.parametrize(
+    "limit", [10**12, 3 * 10**15 + 1, 852863868951625010, 2**61 + 12345, 2**62]
+)
+def test_random_leaf_parents_up_to_2_62(monkeypatch, limit):
+    monkeypatch.setattr(enumerator, "_FLUSH", 4096)
+    # The tables of 10**12 (primes to 2**20); slices stop at their top.
+    tables = _Tables.for_limit(10**12)
+    parents, expected = chernick_parents(limit, tables, 5)
+    parents += random_parents(random.Random(limit), limit, tables, 40)
+    random.Random(limit).shuffle(parents)
+    batched = batched_leaves(parents, limit, tables)
+    assert batched == scalar_leaves(parents, limit, tables)
+    assert len(expected) == 5
+    assert set(expected) <= set(batched)
+
+
+def test_catalogs_from_one_and_two_workers_are_byte_identical(tmp_path):
+    paths = []
+    for workers in (1, 2):
+        path = tmp_path / f"j{workers}.txt"
+        write_catalog(enumerate_carmichael(
+            EnumerationConfig(10**8, worker_count=workers)), path)
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_limits_above_the_gate_take_the_scalar_leaf(monkeypatch):
+    flushed = []
+    flush = _LeafBatch.flush
+
+    def spy(self, out):
+        flushed.append(self.limit)
+        flush(self, out)
+
+    monkeypatch.setattr(_LeafBatch, "flush", spy)
+    reference = enumerate_carmichael(EnumerationConfig(10**6)).entries
+    assert flushed and len(reference) == 43
+    flushed.clear()
+    monkeypatch.setattr(enumerator, "_BATCH_LIMIT", 10**6 - 1)
+    assert enumerate_carmichael(EnumerationConfig(10**6)).entries == reference
+    assert not flushed
