@@ -10,7 +10,7 @@ from .enumerator import (
     max_factor_count,
 )
 from .extremal import RecordSet, kform_check, scan_records, smallest_with_factors
-from .korselt import CarmichaelEntry, fermat_scan, is_carmichael, korselt_check
+from .korselt import CarmichaelEntry, fermat_scan, is_carmichael, korselt_failure
 from .primes import Factorization, factorize, is_prime, prime_sieve
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "is_carmichael",
     "is_prime",
     "kform_check",
-    "korselt_check",
+    "korselt_failure",
     "max_factor_count",
     "merge",
     "prime_sieve",

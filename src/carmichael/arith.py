@@ -11,34 +11,12 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["mulmod", "powmod", "gcd", "lcm", "invmod", "iroot"]
+__all__ = ["invmod", "iroot"]
 
 
 def _check_modulus(m: int) -> None:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-
-
-def mulmod(a: int, b: int, m: int) -> int:
-    """(a * b) mod m, exactly."""
-    _check_modulus(m)
-    return (a * b) % m
-
-
-def powmod(b: int, e: int, m: int) -> int:
-    """b**e mod m by square-and-multiply (e >= 0)."""
-    _check_modulus(m)
-    if e < 0:
-        raise ValueError("negative exponent")
-    return pow(b, e, m)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
-def lcm(a: int, b: int) -> int:
-    return math.lcm(a, b)
 
 
 def invmod(a: int, m: int) -> int | None:

@@ -1,12 +1,12 @@
 """Catalog persistence: bit-exact text files of Carmichael numbers.
 
 Format: UTF-8 text.  Header lines start with '#' and carry `key: value`
-provenance pairs (generator version, limit, factor-count range, completion
-mode, count).  Each record line is the decimal value of N, a space, then
-its ascending prime factors separated by single spaces.  Records are
-sorted ascending, one per line, no trailing whitespace.  The writer emits
-no timestamps, so identical inputs produce byte-identical files.  Files
-ending in .gz are transparently decompressed on read.
+provenance pairs (generator version, limit, factor-count range, count).
+Each record line is the decimal value of N, a space, then its ascending
+prime factors separated by single spaces.  Records are sorted ascending,
+one per line, no trailing whitespace.  The writer emits no timestamps,
+so identical inputs produce byte-identical files.  Files ending in .gz
+are transparently decompressed on read.
 """
 
 from __future__ import annotations

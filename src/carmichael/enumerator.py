@@ -18,33 +18,30 @@ the search:
   divides L or when gcd(P, p - 1) > 1, keeping gcd(P, L) = 1 invariant.
 
 Completing a prefix of d - 1 primes means finding every final prime q
-with N = P * q < limit Carmichael.  Korselt forces two conditions, each
-sufficient to enumerate candidates exhaustively:
+with N = P * q < limit Carmichael (the large prime variation of Pinch,
+*The Carmichael numbers up to 10^15*).  Korselt forces two conditions,
+each sufficient to enumerate candidates exhaustively:
 
 * q = P^-1 (mod L), because L must divide N - 1.  Walking that arithmetic
   progression and keeping q with (q - 1) | (P - 1), q prime covers all
-  solutions ("basic" completion).
+  solutions (the progression route).
 
 * (q - 1) | (P - 1), because q - 1 divides N - 1 = P(q - 1) + (P - 1).
   Enumerating divisors e of P - 1 and keeping q = e + 1 in the right
-  residue class covers all solutions (the large-prime variation,
-  `final_primes`).
+  residue class covers all solutions (the divisor route).
 
-Either route alone is complete; the default engine picks per node
-whichever is cheaper (the progression when it is short, divisors
-otherwise) and re-verifies every emitted value against Korselt's
-criterion, so a bookkeeping bug cannot silently inflate the catalog.
-The "last-two" completion closes a prefix of d - 2 primes with a prime
-pair (q, r) via the cofactor identity described at
-`last_two_completions`.
+Either route alone is complete; `_complete_final` picks per leaf whichever
+is cheaper (the progression when it is short, divisors otherwise) and
+re-verifies every emitted value against Korselt's criterion, so a
+bookkeeping bug cannot silently inflate the catalog.
 
 Batched leaf layer
 ------------------
-Nearly all of the work of the default mode is closing leaves, and most
-leaves emit nothing: at 10**11 the first term t of the progression
-already exceeds rmax = (limit - 1) // (P * p) for 87% of them.  So below
-2**62 the descent stops one level early, at d - 2 primes, and queues each
-such leaf parent with its slice of the sieve (the candidates p for the
+Nearly all of the work is closing leaves, and most leaves emit nothing:
+at 10**11 the first term t of the progression already exceeds
+rmax = (limit - 1) // (P * p) for 87% of them.  So below 2**62 the
+descent stops one level early, at d - 2 primes, and queues each such leaf
+parent with its slice of the sieve (the candidates p for the
 last-but-one prime) on a `_LeafBatch`.  Once `_FLUSH` = 2**14 candidates
 are queued, across tasks, one int64 numpy pass expands the slices,
 applies the pruning of the descent, forms P2 = P * p and
@@ -66,8 +63,8 @@ The gate limit <= 2**62 makes int64 exact.  Candidates obey
 P * p**2 < limit, so P2 < limit; L2 divides the product of the (pi - 1),
 so L2 < P2; t < L2; rmax < limit; the first term above p is at most
 p + L2, and the Euclid's cofactors and products stay within 2 * L2.  So
-every value formed is below 2 * limit <= 2**63.  Larger limits, and the
-`basic` and `last-two` modes, keep the scalar leaf.
+every value formed is below 2 * limit <= 2**63.  Larger limits keep the
+scalar leaf.
 
 Work is partitioned into subtree tasks seeded by the first one or two
 prefix primes; results are merged, sorted and checked for duplicates, so
@@ -76,6 +73,7 @@ output is identical for any worker count and any flush boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from bisect import bisect_left, bisect_right
@@ -87,7 +85,7 @@ import numpy as np
 
 from .arith import iroot
 from .catalog import Catalog
-from .korselt import CarmichaelEntry
+from .korselt import CarmichaelEntry, korselt_witness
 from .primes import factorize, is_prime, prime_sieve, smallest_factor_table
 
 __all__ = [
@@ -95,13 +93,8 @@ __all__ = [
     "EnumerationConfig",
     "max_factor_count",
     "child_bound",
-    "final_primes",
-    "last_two_completions",
     "enumerate_carmichael",
-    "MODES",
 ]
-
-MODES = ("basic", "last-prime", "last-two")
 
 # Completion-route tuning: walk the residue progression when it has at
 # most this many terms, otherwise enumerate divisors of P - 1.
@@ -155,12 +148,9 @@ class PrefixState:
     product: int
     carry_lcm: int
     limit: int
-    target_d: int | None = None
 
     @classmethod
-    def make(
-        cls, primes: tuple[int, ...], limit: int, target_d: int | None = None
-    ) -> "PrefixState":
+    def make(cls, primes: tuple[int, ...], limit: int) -> "PrefixState":
         if any(p % 2 == 0 for p in primes):
             raise ValueError("prefix primes must be odd")
         if list(primes) != sorted(set(primes)):
@@ -169,7 +159,7 @@ class PrefixState:
         if product > limit:
             raise ValueError("prefix product exceeds the limit")
         carry = math.lcm(*(p - 1 for p in primes)) if primes else 1
-        return cls(primes, product, carry, limit, target_d)
+        return cls(primes, product, carry, limit)
 
     @property
     def last(self) -> int:
@@ -188,62 +178,11 @@ def child_bound(prefix: PrefixState, d: int) -> int:
     return iroot((prefix.limit - 1) // prefix.product, d - k)
 
 
-def final_primes(prefix: PrefixState) -> list[int]:
-    """All primes q completing the prefix to a Carmichael number < limit.
-
-    The prefix holds d - 1 primes with product P and L = lcm(pi - 1).
-    Korselt's criterion forces L | Pq - 1, hence q = P^-1 (mod L), and
-    (q - 1) | (P - 1) since Pq - 1 = P(q - 1) + (P - 1); so every valid q
-    appears among the divisors e = q - 1 of P - 1 in the right residue
-    class.  Each survivor is re-verified before being returned.
-    """
-    p_product, carry = prefix.product, prefix.carry_lcm
-    if math.gcd(p_product, carry) != 1:
-        return []
-    t = pow(p_product % carry, -1, carry)
-    qmax = (prefix.limit - 1) // p_product
-    out = []
-    for e in _bounded_divisors(factorize(p_product - 1).factors, qmax - 1):
-        q = e + 1
-        if q <= prefix.last or q % carry != t:
-            continue
-        if not is_prime(q):
-            continue
-        if _verified(p_product * q, prefix.primes + (q,)):
-            out.append(q)
-    out.sort()
-    return out
-
-
-def last_two_completions(prefix: PrefixState) -> list[tuple[int, int]]:
-    """All prime pairs q < r completing a prefix of d - 2 primes.
-
-    For N = P*q*r Korselt forces (r - 1) | (Pq - 1); writing the cofactor
-    e = (Pq - 1)/(r - 1) and using r > q gives e < Pq/(q - 1), a small
-    bound to iterate.  Eliminating r shows (q - 1) must divide
-    (P - 1)(P + e), so for each cofactor e the candidates q come from the
-    divisors of that product; r follows as (Pq - 1)/e + 1.  When the
-    cofactor range is wider than the prime range the roles flip: iterate
-    q over primes and take r - 1 from the divisors of Pq - 1.  Both sides
-    verify every候 candidate against Korselt before emitting.
-    """
-    tables = _Tables.for_limit(prefix.limit, len(prefix.primes) + 2)
-    return _complete_last_two(
-        prefix.primes,
-        prefix.product,
-        prefix.carry_lcm,
-        prefix.limit,
-        tables,
-        collect_pairs=True,
-    )
-
-
 @dataclass(frozen=True)
 class EnumerationConfig:
     limit: int
     d_min: int = 3
     d_max: int | None = None
-    completion_mode: str = "last-prime"
     worker_count: int = 1
 
     def resolved_d_max(self) -> int:
@@ -255,10 +194,6 @@ class EnumerationConfig:
     def validate(self) -> None:
         if self.limit < 2:
             raise ValueError("limit must be at least 2")
-        if self.completion_mode not in MODES:
-            raise ValueError(
-                f"completion mode {self.completion_mode!r} not one of {MODES}"
-            )
         if self.worker_count < 1:
             raise ValueError("worker count must be positive")
         d_max = self.resolved_d_max()
@@ -271,6 +206,13 @@ class EnumerationConfig:
                 f"d_max {d_max} exceeds max_factor_count(limit) ="
                 f" {max_factor_count(self.limit)}"
             )
+
+
+@functools.cache
+def _spf_table(spf_limit: int):
+    # Depends on spf_limit alone, so `smallest` builds it once however
+    # often its doubling bound changes the sieve.
+    return smallest_factor_table(spf_limit)
 
 
 @dataclass
@@ -305,7 +247,7 @@ class _Tables:
             sieve=sieve,
             sieve64=np.array(sieve, dtype=np.int64),
             sieve_top=sieve_top,
-            spf=smallest_factor_table(spf_limit),
+            spf=_spf_table(spf_limit),
             spf_limit=spf_limit,
         )
         if len(cls._cache) > 3:
@@ -356,12 +298,6 @@ def _bounded_divisors(fac, hi: int) -> list[int]:
     return divs
 
 
-def _verified(n: int, primes: tuple[int, ...]) -> bool:
-    """Final Korselt re-check on an emission candidate."""
-    nm1 = n - 1
-    return all(nm1 % (p - 1) == 0 for p in primes)
-
-
 def _complete_final(
     primes: tuple[int, ...],
     product: int,
@@ -369,7 +305,6 @@ def _complete_final(
     limit: int,
     tables: _Tables,
     out: list,
-    mode: str,
 ) -> None:
     """Emit every Carmichael P*q < limit extending a d-1 prime prefix.
 
@@ -385,9 +320,7 @@ def _complete_final(
     if span <= 0:
         return
 
-    if mode == "basic":
-        use_progression = True
-    elif span <= _SHORT_PROGRESSION:
+    if span <= _SHORT_PROGRESSION:
         use_progression = True
     elif product - 1 < tables.spf_limit:
         use_progression = False
@@ -400,7 +333,7 @@ def _complete_final(
         while r <= rmax:
             if pm1 % (r - 1) == 0 and is_prime(r):
                 n = product * r
-                if _verified(n, primes + (r,)):
+                if korselt_witness(n, primes + (r,)) is None:
                     out.append((n, primes + (r,)))
             r += carry
     else:
@@ -411,7 +344,7 @@ def _complete_final(
             if not is_prime(q):
                 continue
             n = product * q
-            if _verified(n, primes + (q,)):
+            if korselt_witness(n, primes + (q,)) is None:
                 out.append((n, primes + (q,)))
 
 
@@ -507,7 +440,7 @@ class _LeafBatch:
         for i in np.flatnonzero(long).tolist():
             primes = parents[owner[i]][0] + (int(p[i]),)
             _complete_final(primes, int(product[i]), int(carry[i]), self.limit,
-                            self.tables, out, "last-prime")
+                            self.tables, out)
         short = np.flatnonzero(~long)
         terms = (rmax[short] - first[short]) // carry[short] + 1
         lane = np.repeat(short, terms)
@@ -518,89 +451,8 @@ class _LeafBatch:
             if is_prime(q):
                 primes = parents[owner[i]][0] + (int(p[i]), q)
                 n = int(product[i]) * q
-                if _verified(n, primes):
+                if korselt_witness(n, primes) is None:
                     out.append((n, primes))
-
-
-def _complete_last_two(
-    primes: tuple[int, ...],
-    product: int,
-    carry: int,
-    limit: int,
-    tables: _Tables,
-    out: list | None = None,
-    collect_pairs: bool = False,
-):
-    """Emit every Carmichael P*q*r < limit extending a d-2 prime prefix."""
-    pairs: list[tuple[int, int]] = []
-    p_last = primes[-1]
-    qmax = iroot((limit - 1) // product, 2)
-    if qmax <= p_last:
-        return pairs if collect_pairs else None
-    sieve = tables.sieve
-    lo = bisect_right(sieve, p_last)
-    hi = bisect_right(sieve, qmax)
-    q0 = sieve[lo] if lo < hi else 0
-
-    def emit(q: int, r: int) -> None:
-        n = product * q * r
-        if _verified(n, primes + (q, r)):
-            if collect_pairs:
-                pairs.append((q, r))
-            else:
-                out.append((n, primes + (q, r)))
-
-    bound_e = (product * q0 - 1) // (q0 - 1) if q0 else 0
-    # Cofactor-first costs ~bound_e steps, prime-first ~3x the prime count.
-    if q0 and product + bound_e < tables.spf_limit and bound_e < 3 * (hi - lo):
-        fac_pm1 = _factor_fast(product - 1, tables)
-        for e in range(2, bound_e + 1):
-            if math.gcd(e, product) != 1:
-                continue
-            fac = _merge_factorizations(fac_pm1, _factor_fast(product + e, tables))
-            for f in _bounded_divisors(fac, qmax - 1):
-                q = f + 1
-                if q <= p_last:
-                    continue
-                pq1 = product * q - 1
-                if pq1 % e:
-                    continue
-                rm1 = pq1 // e
-                r = rm1 + 1
-                if r <= q or product * q * r >= limit:
-                    continue
-                n = product * q * r
-                nm1 = n - 1
-                if nm1 % carry or nm1 % (q - 1) or nm1 % rm1:
-                    continue
-                if is_prime(q) and is_prime(r):
-                    emit(q, r)
-    else:
-        for q in sieve[lo:hi]:
-            if carry % q == 0 or math.gcd(product, q - 1) != 1:
-                continue
-            carry2 = math.lcm(carry, q - 1)
-            inner: list = []
-            _complete_final(
-                primes + (q,), product * q, carry2, limit, tables, inner,
-                mode="hybrid",
-            )
-            for n, fs in inner:
-                if collect_pairs:
-                    pairs.append((fs[-2], fs[-1]))
-                else:
-                    out.append((n, fs))
-    if collect_pairs:
-        pairs.sort()
-        return pairs
-    return None
-
-
-def _merge_factorizations(a, b) -> list[tuple[int, int]]:
-    merged = dict(a)
-    for p, e in b:
-        merged[p] = merged.get(p, 0) + e
-    return sorted(merged.items())
 
 
 def _descend(
@@ -609,17 +461,13 @@ def _descend(
     carry: int,
     d: int,
     limit: int,
-    mode: str,
     tables: _Tables,
     out: list,
     leaves: _LeafBatch | None,
 ) -> None:
     k = len(primes)
-    if mode == "last-two" and k == d - 2:
-        _complete_last_two(primes, product, carry, limit, tables, out)
-        return
     if k == d - 1:
-        _complete_final(primes, product, carry, limit, tables, out, mode)
+        _complete_final(primes, product, carry, limit, tables, out)
         return
     bound = iroot((limit - 1) // product, d - k)
     sieve = tables.sieve
@@ -637,7 +485,6 @@ def _descend(
             math.lcm(carry, p - 1),
             d,
             limit,
-            mode,
             tables,
             out,
             leaves,
@@ -655,14 +502,14 @@ def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
     limit = config.limit
     tasks: list[tuple] = []
     for d in range(config.d_min, config.resolved_d_max() + 1):
-        root = PrefixState((), 1, 1, limit, d)
+        root = PrefixState((), 1, 1, limit)
         b1 = child_bound(root, d)
         i1 = bisect_left(tables.sieve, 3)
         for p1 in tables.sieve[i1 : bisect_right(tables.sieve, b1)]:
             if d == 3:
                 tasks.append((d, p1))
                 continue
-            pre1 = PrefixState((p1,), p1, p1 - 1, limit, d)
+            pre1 = PrefixState((p1,), p1, p1 - 1, limit)
             b2 = child_bound(pre1, d)
             j = bisect_right(tables.sieve, p1)
             for p2 in tables.sieve[j : bisect_right(tables.sieve, b2)]:
@@ -675,7 +522,6 @@ def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
 def _run_task_impl(
     task: tuple,
     limit: int,
-    mode: str,
     tables: _Tables,
     leaves: _LeafBatch | None,
     last: bool,
@@ -691,38 +537,35 @@ def _run_task_impl(
     product = math.prod(primes)
     carry = math.lcm(*(p - 1 for p in primes))
     out: list = []
-    _descend(primes, product, carry, d, limit, mode, tables, out, leaves)
+    _descend(primes, product, carry, d, limit, tables, out, leaves)
     if last and leaves is not None:
         leaves.flush(out)
     return out
 
 
 def _run_tasks(
-    tasks: list[tuple], limit: int, mode: str, tables: _Tables, progress=None
+    tasks: list[tuple], limit: int, tables: _Tables, progress=None
 ) -> list:
     """Run tasks in order, batching the leaf layer across all of them."""
-    leaves = None
-    if mode == "last-prime" and limit <= _BATCH_LIMIT:
-        leaves = _LeafBatch(limit, tables)
+    leaves = _LeafBatch(limit, tables) if limit <= _BATCH_LIMIT else None
     out: list = []
     for i, task in enumerate(tasks):
         out.extend(
-            _run_task_impl(task, limit, mode, tables, leaves, i == len(tasks) - 1)
+            _run_task_impl(task, limit, tables, leaves, i == len(tasks) - 1)
         )
         if progress is not None:
             progress(i + 1, len(tasks))
     return out
 
 
-def _worker_init(limit: int, d_min: int, mode: str) -> None:
+def _worker_init(limit: int, d_min: int) -> None:
     _WORKER_STATE["tables"] = _Tables.for_limit(limit, d_min)
     _WORKER_STATE["limit"] = limit
-    _WORKER_STATE["mode"] = mode
 
 
 def _worker_run(batch: list[tuple]) -> list:
     state = _WORKER_STATE
-    return _run_tasks(batch, state["limit"], state["mode"], state["tables"])
+    return _run_tasks(batch, state["limit"], state["tables"])
 
 
 def enumerate_carmichael(
@@ -730,24 +573,23 @@ def enumerate_carmichael(
 ) -> Catalog:
     """The complete ascending catalog of Carmichael numbers < limit.
 
-    Output is independent of completion mode and worker count; both only
-    steer how the same search space is covered.
+    Output is independent of the worker count, which only steers how the
+    same search space is covered.
     """
     config.validate()
     tables = _Tables.for_limit(config.limit, config.d_min)
     tasks = _seed_tasks(config, tables)
-    mode = config.completion_mode
     raw: list = []
 
     if config.worker_count == 1 or len(tasks) < 2:
-        raw = _run_tasks(tasks, config.limit, mode, tables, progress)
+        raw = _run_tasks(tasks, config.limit, tables, progress)
     else:
         batches = _chunk(tasks, config.worker_count)
         ctx = get_context("fork")
         with ctx.Pool(
             processes=config.worker_count,
             initializer=_worker_init,
-            initargs=(config.limit, config.d_min, mode),
+            initargs=(config.limit, config.d_min),
         ) as pool:
             done = 0
             for part in pool.imap_unordered(_worker_run, batches):
@@ -766,8 +608,8 @@ def enumerate_carmichael(
         entry = CarmichaelEntry(n, fs)
         entry.validate()
         entries.append(entry)
-    # No completion mode or worker count here: they provably do not affect
-    # the content, and equal catalogs must serialize byte-identically.
+    # No worker count here: it provably does not affect the content, and
+    # equal catalogs must serialize byte-identically.
     provenance = {
         "generator": "carmichael 0.1.0",
         "limit": str(config.limit),
@@ -785,7 +627,4 @@ def _chunk(tasks: list, workers: int) -> list[list]:
 
 
 def default_worker_count() -> int:
-    env = os.environ.get("CARMICHAEL_JOBS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1

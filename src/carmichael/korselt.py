@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .primes import Factorization, factorize, is_prime, smallest_factor_table
 
 __all__ = [
     "CarmichaelEntry",
-    "korselt_check",
     "korselt_failure",
+    "korselt_witness",
     "is_carmichael",
     "fermat_scan",
     "ALL_BASES",
@@ -58,22 +59,25 @@ class CarmichaelEntry:
         prod = math.prod(self.factors)
         if prod != self.value:
             raise ValueError(f"{self.value}: factors multiply to {prod}")
-        for p in self.factors:
-            if (self.value - 1) % (p - 1):
-                raise ValueError(
-                    f"{self.value}: {p} - 1 does not divide {self.value} - 1"
-                )
+        p = korselt_witness(self.value, self.factors)
+        if p is not None:
+            raise ValueError(
+                f"{self.value}: {p} - 1 does not divide {self.value} - 1"
+            )
 
 
-def korselt_check(n: int, f: Factorization) -> bool:
-    """True iff n is Carmichael, given its factorization."""
-    if f.value() != n:
-        raise ValueError(f"factorization does not multiply to {n}")
-    if not f.is_squarefree():
-        return False
-    if len(f.factors) < 3:
-        return False
-    return all((n - 1) % (p - 1) == 0 for p, _ in f.factors)
+def korselt_witness(n: int, primes: Iterable[int]) -> int | None:
+    """The first p in `primes` with p - 1 not dividing n - 1, or None.
+
+    This is the divisibility clause of Korselt's criterion, shared by
+    `CarmichaelEntry.validate`, `korselt_failure` and the enumerator's
+    re-check of every number it emits.
+    """
+    nm1 = n - 1
+    for p in primes:
+        if nm1 % (p - 1):
+            return p
+    return None
 
 
 def korselt_failure(n: int, f: Factorization) -> str | None:
@@ -86,9 +90,9 @@ def korselt_failure(n: int, f: Factorization) -> str | None:
         return "not square-free"
     if len(f.factors) < 3:
         return "fewer than 3 prime factors"
-    for p, _ in f.factors:
-        if (n - 1) % (p - 1):
-            return f"{p} - 1 does not divide n - 1"
+    p = korselt_witness(n, f.primes())
+    if p is not None:
+        return f"{p} - 1 does not divide n - 1"
     return None
 
 
@@ -97,7 +101,7 @@ def is_carmichael(n: int) -> bool:
         raise ValueError(f"need n >= 2, got {n}")
     if n % 2 == 0 or is_prime(n):
         return False
-    return korselt_check(n, factorize(n))
+    return korselt_failure(n, factorize(n)) is None
 
 
 # Sentinel for exhaustive base testing in fermat_scan.

@@ -1,4 +1,4 @@
-"""Prime generation, primality testing, factorization, divisors.
+"""Prime generation, primality testing and factorization.
 
 Primality policy
 ----------------
@@ -27,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import iroot
+
 __all__ = [
     "Factorization",
     "prime_sieve",
     "is_prime",
     "factorize",
-    "divisors",
-    "DivisorCapError",
 ]
 
 # Segment size for the sieve (odd numbers per block); keeps peak memory
@@ -243,12 +243,6 @@ class Factorization:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    def divisor_count(self) -> int:
-        c = 1
-        for _, e in self.factors:
-            c *= e + 1
-        return c
-
 
 # Trial-division table used by factorize(); small enough that a full scan
 # is cheap, large enough that rho only ever sees hard cofactors.
@@ -291,24 +285,10 @@ def _brent_rho(n: int) -> int:
     # Unsplittable by rho across 999 offsets: only plausible for perfect
     # powers of a single prime; peel those off exactly.
     for k in range(2, n.bit_length() + 1):
-        r = _iroot_local(n, k)
+        r = iroot(n, k)
         if r**k == n:
             return r
     raise ArithmeticError(f"failed to split composite {n}")
-
-
-def _iroot_local(n: int, k: int) -> int:
-    if k == 2:
-        return math.isqrt(n)
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
-        if nxt >= r:
-            break
-        r = nxt
-    while r**k > n:
-        r -= 1
-    return r
 
 
 def factorize(n: int) -> Factorization:
@@ -336,28 +316,3 @@ def factorize(n: int) -> Factorization:
         stack.append(d)
         stack.append(m // d)
     return Factorization(tuple(sorted(found.items())))
-
-
-class DivisorCapError(Exception):
-    """Divisor enumeration would exceed the configured cap."""
-
-    def __init__(self, n: int, count: int, cap: int):
-        super().__init__(
-            f"{n} has {count} divisors, more than the cap of {cap}"
-        )
-        self.n = n
-        self.count = count
-        self.cap = cap
-
-
-def divisors(f: Factorization, cap: int = 1 << 24) -> list[int]:
-    """All positive divisors, ascending."""
-    count = f.divisor_count()
-    if count > cap:
-        raise DivisorCapError(f.value(), count, cap)
-    divs = [1]
-    for p, e in f.factors:
-        powers = [p**i for i in range(1, e + 1)]
-        divs += [d * pe for pe in powers for d in divs]
-    divs.sort()
-    return divs

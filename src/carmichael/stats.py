@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import Catalog
+from .enumerator import max_factor_count
 from .extremal import RecordSet, scan_records
+from .primes import prime_sieve
 
 __all__ = [
     "DEFAULT_PRIME_CAP",
@@ -84,6 +86,24 @@ def validate_checkpoints(cat: Catalog, cps: list[int]) -> None:
             raise ValueError(
                 f"checkpoint {x} exceeds the catalog bound {bound}"
             )
+
+
+def _check_factor_range(cat: Catalog) -> None:
+    """Refuse a catalog whose header restricts the factor count.
+
+    It holds only part of the Carmichael numbers below its bound, so
+    every count taken from it would be short.  A catalog without d_min
+    and d_max headers is taken as complete.
+    """
+    limit = cat.limit
+    full = max_factor_count(limit) if limit is not None and limit >= 561 else 3
+    d_min = int(cat.provenance.get("d_min", 3))
+    d_max = int(cat.provenance.get("d_max", full))
+    if d_min > 3 or d_max < full:
+        raise ValueError(
+            f"the catalog holds only d = {d_min}..{d_max} prime factors,"
+            f" not 3..{full}: its counts would be short"
+        )
 
 
 def count_table(
@@ -238,6 +258,7 @@ def build_report(
     prime_cap: int = DEFAULT_PRIME_CAP,
     tables: tuple[str, ...] = TABLE_NAMES,
 ) -> StatsReport:
+    _check_factor_range(cat)
     if cps is None:
         bound = cat.limit
         if bound is None:
@@ -250,7 +271,7 @@ def build_report(
     ratios = growth_ratios(decades) if len(decades) > 1 else {}
     exponents = power_exponents(decades) if decades else {}
     residues = {m: residue_table(cat, m, cps) for m in moduli}
-    primes = [p for p in range(3, prime_cap + 1) if _is_odd_prime(p)]
+    primes = [p for p in prime_sieve(prime_cap) if p > 2]
     div_counts, least_counts = prime_tables(cat, primes, cps)
     records = scan_records(cat) if cat.entries else None
     return StatsReport(
@@ -268,12 +289,6 @@ def build_report(
         records=records,
         tables=tables,
     )
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    return all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 
 
 # ---------------------------------------------------------------------------

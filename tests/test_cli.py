@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from carmichael import cli
 from carmichael.cli import exact_int, main
 
 
@@ -40,6 +41,16 @@ def test_verify_non_carmichael(capsys):
 def test_verify_mixed_exit_code(capsys):
     assert main(["verify", "561", "1105", "1729"]) == 0
     assert main(["verify", "561", "563"]) == 1
+
+
+def test_verify_rejects_by_fermat_witness_without_factoring(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(cli, "factorize", refuse)
+    n = 10000000000000000051 * 30000000000000000041  # two 20-digit primes
+    assert main(["verify", str(n)]) == 1
+    assert capsys.readouterr().out == f"{n} not-carmichael (Fermat witness 2)\n"
 
 
 def test_verify_from_file(tmp_path, capsys):
@@ -194,3 +205,14 @@ def test_stats_rejects_a_truncated_catalog(tmp_path, capsys):
     code = main(["stats", "--input", str(cut), "--out-dir", str(tmp_path / "t")])
     assert code == 2
     assert "header count 43 but 20 records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("restrict", [["--min-factors", "4"], ["--max-factors", "4"]])
+def test_stats_refuses_a_catalog_restricted_by_factor_count(tmp_path, capsys, restrict):
+    cat_path = tmp_path / "cat.txt"
+    main(["enumerate", "--limit", "1e6", "--out", str(cat_path), *restrict])
+    capsys.readouterr()
+    code = main(["stats", "--input", str(cat_path), "--out-dir", str(tmp_path / "t")])
+    assert code == 2
+    assert "3..6" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()

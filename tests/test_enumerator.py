@@ -5,13 +5,23 @@ import pytest
 from carmichael.enumerator import (
     EnumerationConfig,
     PrefixState,
+    _complete_final,
+    _descend,
+    _LeafBatch,
+    _Tables,
     child_bound,
     enumerate_carmichael,
-    final_primes,
-    last_two_completions,
     max_factor_count,
 )
 from carmichael.korselt import fermat_scan, oracle_enumerate
+
+
+def completions(primes, limit, tables=None):
+    """Last primes q that `_complete_final` finds for the prefix."""
+    out = []
+    _complete_final(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
+                    limit, tables or _Tables.for_limit(limit), out)
+    return [fs[-1] for _, fs in out]
 
 
 def by_factor_count(cat):
@@ -37,44 +47,56 @@ def test_max_factor_count_rejects_small_limit():
 
 
 def test_child_bound_examples():
-    root = PrefixState.make((), 10**3, 3)
+    root = PrefixState.make((), 10**3)
     assert child_bound(root, 3) == 9  # p1 in {3, 5, 7}
-    pre = PrefixState.make((3,), 10**3, 3)
+    pre = PrefixState.make((3,), 10**3)
     assert child_bound(pre, 3) == 18
-    pre = PrefixState.make((3, 5, 7), 561, 4)
+    pre = PrefixState.make((3, 5, 7), 561)
     assert child_bound(pre, 4) == 5  # < 7, so no children
 
 
 def test_prefix_state_checks():
     with pytest.raises(ValueError):
-        PrefixState.make((2, 3), 100, 3)  # even prime
+        PrefixState.make((2, 3), 100)  # even prime
     with pytest.raises(ValueError):
-        PrefixState.make((5, 3), 100, 3)  # not ascending
-    pre = PrefixState.make((3, 11), 10**4, 3)
+        PrefixState.make((5, 3), 100)  # not ascending
+    pre = PrefixState.make((3, 11), 10**4)
     assert pre.product == 33
     assert pre.carry_lcm == 10
 
 
-def test_final_primes_completing_561():
-    assert final_primes(PrefixState.make((3, 11), 10**4, 3)) == [17]
+def test_complete_final_completing_561():
+    # 30 terms in the progression, so the divisors of 32 are walked.
+    assert completions((3, 11), 10**4) == [17]
 
 
-def test_final_primes_completing_1105():
-    assert final_primes(PrefixState.make((5, 13), 10**4, 3)) == [17]
+def test_complete_final_completing_1105():
+    # 13 terms: the progression route.
+    assert completions((5, 13), 10**4) == [17]
 
 
-def test_final_primes_empty_for_3_5():
+def test_complete_final_empty_for_3_5():
     # divisors of 14 give q in {2, 3, 8, 15}; none is a prime > 5 in the
-    # right class mod 4
-    assert final_primes(PrefixState.make((3, 5), 10**16, 3)) == []
+    # right class mod 4.  Only the smallest-factor table is used, so the
+    # small tables of 10**4 serve.
+    assert completions((3, 5), 10**16, _Tables.for_limit(10**4)) == []
 
 
-def test_last_two_completions_examples():
-    pairs = last_two_completions(PrefixState.make((7,), 10**4, 3))
-    assert (13, 31) in pairs  # 2821
-    assert set(pairs) == {(13, 19), (13, 31), (19, 67), (23, 41)}
-    assert last_two_completions(PrefixState.make((3,), 10**4, 3)) == [(11, 17)]
-    assert last_two_completions(PrefixState.make((3,), 560, 3)) == []
+@pytest.mark.parametrize("batched", [False, True])
+def test_descend_closes_prefixes_with_prime_pairs(batched):
+    def pairs(prefix, limit):
+        tables = _Tables.for_limit(limit)
+        leaves = _LeafBatch(limit, tables) if batched else None
+        out = []
+        _descend(prefix, math.prod(prefix), math.lcm(*(p - 1 for p in prefix)),
+                 len(prefix) + 2, limit, tables, out, leaves)
+        if leaves is not None:
+            leaves.flush(out)
+        return sorted(fs[-2:] for _, fs in out)
+
+    assert pairs((7,), 10**4) == [(13, 19), (13, 31), (19, 67), (23, 41)]
+    assert pairs((3,), 10**4) == [(11, 17)]
+    assert pairs((3,), 560) == []
 
 
 def test_enumerate_small_limits():
@@ -95,16 +117,10 @@ def test_enumerate_strict_upper_bound():
     assert len(enumerate_carmichael(EnumerationConfig(562))) == 1
 
 
-def test_modes_agree():
-    reference = None
-    for mode in ("basic", "last-prime", "last-two"):
-        cat = enumerate_carmichael(
-            EnumerationConfig(10**7, completion_mode=mode)
-        )
-        if reference is None:
-            reference = cat.entries
-        assert cat.entries == reference
-    assert len(reference) == 105
+def test_enumerate_matches_oracle_to_ten_million():
+    cat = enumerate_carmichael(EnumerationConfig(10**7))
+    assert len(cat) == 105
+    assert cat.entries == oracle_enumerate(10**7)
 
 
 def test_worker_counts_agree():
@@ -147,8 +163,6 @@ def test_config_validation():
         EnumerationConfig(10**6, d_min=2).validate()
     with pytest.raises(ValueError):
         EnumerationConfig(10**6, d_min=5, d_max=4).validate()
-    with pytest.raises(ValueError):
-        EnumerationConfig(10**6, completion_mode="magic").validate()
     with pytest.raises(ValueError):
         EnumerationConfig(10**6, worker_count=0).validate()
     with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ def scalar_leaves(parents, limit, tables):
             if carry % p == 0 or math.gcd(product, p - 1) != 1:
                 continue
             _complete_final(primes + (p,), product * p, math.lcm(carry, p - 1),
-                            limit, tables, out, "last-prime")
+                            limit, tables, out)
     return sorted(out)
 
 
@@ -92,7 +92,7 @@ def test_every_leaf_parent_below_1e9(monkeypatch):
     for d, *primes in _seed_tasks(EnumerationConfig(limit), tables):
         primes = tuple(primes)
         _descend(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
-                 d, limit, "last-prime", tables, [], recorder)
+                 d, limit, tables, [], recorder)
     batched = batched_leaves(recorder.parents, limit, tables)
     assert batched == scalar_leaves(recorder.parents, limit, tables)
     assert len(batched) == 646  # C(10**9): every entry closes one parent

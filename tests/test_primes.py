@@ -3,10 +3,9 @@ import random
 
 import pytest
 
+from carmichael.enumerator import _bounded_divisors
 from carmichael.primes import (
-    DivisorCapError,
     Factorization,
-    divisors,
     factorize,
     is_prime,
     prime_sieve,
@@ -127,11 +126,17 @@ def test_factorize_is_deterministic():
     assert factorize(hard).factors == ((1000003, 1), (1000033, 1))
 
 
+def divisors(n, hi=None):
+    """Divisors of n up to hi by the enumerator's divisor route, sorted."""
+    return sorted(_bounded_divisors(factorize(n).factors, n if hi is None else hi))
+
+
 def test_divisors_examples():
-    assert divisors(factorize(32)) == [1, 2, 4, 8, 16, 32]
+    assert divisors(32) == [1, 2, 4, 8, 16, 32]
     # P - 1 for prefix {5,13}: candidates q - 1 completing 1105
-    assert divisors(factorize(64)) == [1, 2, 4, 8, 16, 32, 64]
-    assert divisors(factorize(97)) == [1, 97]
+    assert divisors(64) == [1, 2, 4, 8, 16, 32, 64]
+    assert divisors(97) == [1, 97]
+    assert divisors(33 - 1, 29) == [1, 2, 4, 8, 16]
 
 
 def test_divisors_properties():
@@ -139,18 +144,18 @@ def test_divisors_properties():
     for _ in range(300):
         n = rng.randrange(2, 10**9)
         f = factorize(n)
-        divs = divisors(f)
-        assert len(divs) == f.divisor_count()
+        divs = divisors(n)
+        assert len(divs) == math.prod(e + 1 for _, e in f.factors)
         assert divs == sorted(set(divs))
         assert all(n % d == 0 for d in divs)
 
 
 def test_divisors_cap():
-    # 2^6 * 3^6 * 5^6 * 7^6 has 2401 divisors
-    f = factorize((2 * 3 * 5 * 7) ** 6)
-    with pytest.raises(DivisorCapError) as info:
-        divisors(f, cap=1000)
-    assert str((2 * 3 * 5 * 7) ** 6) in str(info.value)
+    # 2^6 * 3^6 * 5^6 * 7^6 has 2401 divisors; the bound keeps the
+    # ones above it from ever being generated.
+    n = (2 * 3 * 5 * 7) ** 6
+    assert divisors(n, 1000) == [d for d in range(1, 1001) if n % d == 0]
+    assert divisors(n, 0) == []
 
 
 def test_factorization_helpers():
