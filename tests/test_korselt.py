@@ -13,14 +13,29 @@ from carmichael.primes import factorize
 FIRST_SEVEN = [561, 1105, 1729, 2465, 2821, 6601, 8911]
 
 
+def test_korselt_check_561():
+    assert korselt_failure(561, factorize(561)) is None
+
+
+def test_korselt_check_square():
+    assert korselt_failure(9, factorize(9)) is not None
+
+
+def test_korselt_check_two_factors():
+    assert korselt_failure(15, factorize(15)) is not None
+
+
+def test_korselt_check_rejects_mismatched_factorization():
+    with pytest.raises(ValueError):
+        korselt_failure(561, factorize(560))
+
+
 def test_korselt_failure_clauses():
     assert korselt_failure(561, factorize(561)) is None
     assert korselt_failure(9, factorize(9)) == "not square-free"
     assert korselt_failure(15, factorize(15)) == "fewer than 3 prime factors"
     assert korselt_failure(7, factorize(7)) == "prime"
     assert korselt_failure(231, factorize(231)) == "7 - 1 does not divide n - 1"
-    with pytest.raises(ValueError):
-        korselt_failure(561, factorize(560))
 
 
 def test_is_carmichael_small_values():
