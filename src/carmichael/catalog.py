@@ -6,13 +6,16 @@ Each record line is the decimal value of N, a space, then its ascending
 prime factors separated by single spaces.  Records are sorted ascending,
 one per line, no trailing whitespace.  The writer emits no timestamps,
 so identical inputs produce byte-identical files.  Files ending in .gz
-are transparently decompressed on read.
+are transparently decompressed on read.  A catalog is written to a
+temporary file beside its destination and renamed into place, so a write
+that fails never leaves a partial catalog behind.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,22 +51,35 @@ class Catalog:
         return [e.value for e in self.entries]
 
 
+def _record_lines(cat: Catalog):
+    """The text of `cat`, one header or record line at a time."""
+    yield "# carmichael catalog\n"
+    for k, v in cat.provenance.items():
+        yield f"# {k}: {v}\n"
+    for e in cat.entries:
+        yield f"{e}\n"
+
+
 def write_catalog(cat: Catalog, destination: str | Path) -> None:
     path = Path(destination)
-    lines = ["# carmichael catalog"]
-    lines += [f"# {k}: {v}" for k, v in cat.provenance.items()]
-    lines += [str(e) for e in cat.entries]
-    data = "\n".join(lines) + "\n"
-    if path.suffix == ".gz":
-        # mtime zero and no embedded name: identical catalogs compress to
-        # byte-identical files wherever they are written
-        with open(path, "wb") as raw:
-            with gzip.GzipFile(
-                filename="", fileobj=raw, mode="wb", mtime=0
-            ) as fh:
-                fh.write(data.encode("utf-8"))
-    else:
-        path.write_text(data, encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as raw:
+            # One write: deflate's output depends on how its input is cut.
+            data = "".join(_record_lines(cat)).encode("utf-8")
+            if path.suffix == ".gz":
+                # mtime zero and no embedded name: identical catalogs
+                # compress to byte-identical files wherever they are written
+                with gzip.GzipFile(
+                    filename="", fileobj=raw, mode="wb", mtime=0
+                ) as fh:
+                    fh.write(data)
+            else:
+                raw.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _open_text(source: str | Path) -> io.TextIOBase:
@@ -143,8 +159,29 @@ def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
     return Catalog(entries, provenance)
 
 
+def _factor_range(cat: Catalog) -> tuple[int, int | None]:
+    """The factor counts `cat` covers; None for no upper end.
+
+    Without d headers a catalog covers 3..max_factor_count(limit), and
+    without a limit either, every factor count.
+    """
+    from .enumerator import max_factor_count  # it imports this module
+
+    d_min = int(cat.provenance.get("d_min", 3))
+    if "d_max" in cat.provenance:
+        return d_min, int(cat.provenance["d_max"])
+    limit = cat.limit
+    if limit is None:
+        return d_min, None
+    return d_min, max_factor_count(limit) if limit >= 561 else 3
+
+
 def merge(catalogs: list[Catalog]) -> Catalog:
-    """Sorted union; conflicting factorizations for one N are an error."""
+    """Sorted union; conflicting factorizations for one N are an error.
+
+    The result covers the union of the inputs' factor-count ranges; ranges
+    that leave a gap are an error, as the result would be short there.
+    """
     combined = sorted(
         (e for cat in catalogs for e in cat.entries), key=lambda e: e.value
     )
@@ -161,5 +198,20 @@ def merge(catalogs: list[Catalog]) -> Catalog:
     provenance: dict[str, str] = {"mode": "merged"}
     if limits and len(limits) == len(catalogs):
         provenance["limit"] = str(min(limits))
+    ranges = sorted(map(_factor_range, catalogs), key=lambda r: r[0])
+    if ranges:
+        d_min, d_max = ranges[0]
+        for lo, hi in ranges[1:]:
+            if d_max is None:
+                break
+            if lo > d_max + 1:
+                raise CatalogFormatError(
+                    f"the catalogs hold d = {d_min}..{d_max} and {lo}.. prime"
+                    f" factors: d = {d_max + 1}..{lo - 1} is missing"
+                )
+            d_max = None if hi is None else max(d_max, hi)
+        provenance["d_min"] = str(d_min)
+        if d_max is not None:
+            provenance["d_max"] = str(d_max)
     provenance["count"] = str(len(entries))
     return Catalog(entries, provenance)

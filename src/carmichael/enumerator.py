@@ -39,32 +39,43 @@ Batched leaf layer
 ------------------
 Nearly all of the work is closing leaves, and most leaves emit nothing:
 at 10**11 the first term t of the progression already exceeds
-rmax = (limit - 1) // (P * p) for 87% of them.  So below 2**62 the
-descent stops one level early, at d - 2 primes, and queues each such leaf
-parent with its slice of the sieve (the candidates p for the
-last-but-one prime) on a `_LeafBatch`.  Once `_FLUSH` = 2**14 candidates
-are queued, across tasks, one int64 numpy pass expands the slices,
-applies the pruning of the descent, forms P2 = P * p and
-L2 = lcm(L, p - 1), takes t = P2^-1 (mod L2) by a lane-wise extended
-Euclid (`_inverse_mod`), drops the lanes with no term in (p, rmax], and
-tests every short progression (at most `_SHORT_PROGRESSION` terms, where
-the scalar leaf walks it too) as (P2 - 1) % (r - 1) == 0.  Only the hits
-reach `is_prime` and the Korselt re-check; leaves with longer
-progressions go to `_complete_final` one by one, which keeps its route
-choice.  The batch spans tasks because per-prefix or per-task batches
-are too small to pay for numpy's per-call cost.  Flushes of 2**14 to
-2**16 candidates run equally fast at 10**11 and 10**12, 2**13 is 15%
-slower, and larger flushes hold more memory: at 10**11, repeated in one
-process, peak RSS is 3.5 MiB above the scalar leaf's with 2**14 and 8
-MiB above it with 2**16 (the heap keeps what numpy's temporaries of
+rmax = (limit - 1) // (P * p) for 87% of them.  So the descent stops one
+level early, at d - 2 primes, and queues each such leaf parent with its
+slice of the sieve (the candidates p for the last-but-one prime) on a
+`_LeafBatch`.  Once `_FLUSH` = 2**14 candidates are queued, across tasks,
+one int64 numpy pass expands the slices, applies the pruning of the
+descent, forms L2 = lcm(L, p - 1) and rmax, takes t = (P * p)^-1 (mod L2)
+by a lane-wise extended Euclid (`_inverse_mod`) and drops the lanes with
+no term in (p, rmax].  The batch spans tasks because per-prefix or
+per-task batches are too small to pay for numpy's per-call cost.  Flushes
+of 2**14 to 2**16 candidates run equally fast at 10**11 and 10**12, 2**13
+is 15% slower, and larger flushes hold more memory: at 10**11, repeated
+in one process, peak RSS is 3.5 MiB above the scalar leaf's with 2**14
+and 8 MiB above it with 2**16 (the heap keeps what numpy's temporaries of
 varying size leave behind); 2**18 adds 17 MiB at 10**12 in a single run.
 
-The gate limit <= 2**62 makes int64 exact.  Candidates obey
+At or below 2**62 (`_BATCH_LIMIT`) P itself is an int64 lane, and the
+flush also tests every short progression (at most `_SHORT_PROGRESSION`
+terms, where the scalar leaf walks it too) as (P2 - 1) % (r - 1) == 0
+with P2 = P * p.  Only the hits reach `is_prime` and the Korselt
+re-check; leaves with longer progressions go to `_complete_final` one by
+one, which keeps its route choice.  Int64 is exact there: candidates obey
 P * p**2 < limit, so P2 < limit; L2 divides the product of the (pi - 1),
 so L2 < P2; t < L2; rmax < limit; the first term above p is at most
 p + L2, and the Euclid's cofactors and products stay within 2 * L2.  So
-every value formed is below 2 * limit <= 2**63.  Larger limits keep the
-scalar leaf.
+every value formed is below 2 * limit <= 2**63.
+
+Above 2**62 (the deep `smallest` bounds) P stays a Python int, and the
+two lane values that involve it, P % (p - 1) for the gcd prune and
+P * p % L2 for the inverse, are formed one lane at a time; every lane
+that keeps a term in (p, rmax] goes to `_complete_final` with Python
+ints.  `_descend` queues a parent there only when L < 2**62 // sieve_top
+and R = (limit - 1) // P < 2**62, and closes any other leaf parent one
+leaf at a time.  Int64 is exact for a queued parent: p < sieve_top, so
+L2 <= L * (p - 1) < 2**62; t and P * p % L2 are below L2;
+rmax = R // p equals (limit - 1) // (P * p) and is below 2**62; the
+first term above p is at most p + L2 < 2**63, and the Euclid stays
+within 2 * L2 < 2**63.  The gate reads only the parent's own L and P.
 
 Work is partitioned into subtree tasks seeded by the first one or two
 prefix primes; results are merged, sorted and checked for duplicates, so
@@ -102,9 +113,10 @@ _SHORT_PROGRESSION = 24
 _LONG_PROGRESSION = 512
 # Smallest-factor table size for fast divisor-route factorizations.
 _SPF_CAP = 1 << 23
-# The batched leaf layer runs in int64 and every value it forms stays
-# below 2 * limit (see the module docstring), so it serves limits up to
-# 2**62; larger limits take the scalar leaf.
+# At or below this limit P is an int64 lane of the leaf batch and every
+# value it forms stays below 2 * limit; above it P stays a Python int and
+# only parents whose L and R keep the lanes within int64 are queued (see
+# the module docstring).
 _BATCH_LIMIT = 1 << 62
 # Candidate primes pending before the batched leaf layer flushes.
 _FLUSH = 1 << 14
@@ -386,9 +398,13 @@ class _LeafBatch:
     `add` queues a parent with its slice sieve[lo:hi] of candidates for
     the last-but-one prime p; every `_FLUSH` candidates, `flush` takes
     each surviving p through the residue step of `_complete_final` at
-    once.  Leaves whose progression is short are tested term by term
-    here; the others go to `_complete_final` one by one, which keeps its
-    choice between the progression and the divisors of P*p - 1.
+    once.  At or below `_BATCH_LIMIT`, leaves whose progression is short
+    are tested term by term here and the others go to `_complete_final`
+    one by one, which keeps its choice between the progression and the
+    divisors of P*p - 1.  Above it, every leaf with a term in (p, rmax]
+    goes to `_complete_final`.  `_descend` queues a parent only when its
+    carry is below `carry_cap` and its product above `product_floor`, the
+    bounds that keep every lane within int64 (module docstring).
     """
 
     def __init__(self, limit: int, tables: _Tables):
@@ -396,6 +412,11 @@ class _LeafBatch:
         self.tables = tables
         self.parents: list[tuple] = []  # (primes, product, carry, lo, hi)
         self.pending = 0
+        # At or below _BATCH_LIMIT every parent qualifies (carry < P < limit).
+        self.carry_cap = (
+            limit if limit <= _BATCH_LIMIT else _BATCH_LIMIT // tables.sieve_top
+        )
+        self.product_floor = (limit - 1) // _BATCH_LIMIT  # R < 2**62 above it
 
     def add(self, primes, product, carry, lo, hi, out: list) -> None:
         while lo < hi:
@@ -410,13 +431,17 @@ class _LeafBatch:
         parents, self.parents, self.pending = self.parents, [], 0
         if not parents:
             return
-        products, carries, los, his = (
-            np.array(col, dtype=np.int64) for col in list(zip(*parents))[1:]
-        )
+        _, products, carries, los, his = zip(*parents)
+        los, his = np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
         counts = his - los
         owner = np.repeat(np.arange(len(parents)), counts)
         offset = np.repeat(los - (np.cumsum(counts) - counts), counts)
         p = self.tables.sieve64[np.arange(len(owner)) + offset]
+        if self.limit > _BATCH_LIMIT:
+            self._flush_wide(parents, products, carries, owner, p, out)
+            return
+        products = np.array(products, dtype=np.int64)
+        carries = np.array(carries, dtype=np.int64)
         product, carry = products[owner], carries[owner]
         # The pruning of `_descend`: p must not divide L, nor p - 1 meet P.
         keep = np.flatnonzero((carry % p != 0) & (np.gcd(product, p - 1) == 1))
@@ -454,6 +479,38 @@ class _LeafBatch:
                 if korselt_witness(n, primes) is None:
                     out.append((n, primes))
 
+    def _flush_wide(self, parents, products, carries, owner, p, out) -> None:
+        """The rest of `flush` above `_BATCH_LIMIT`: each P is a Python int."""
+        carry = np.array(carries, dtype=np.int64)[owner]
+        # The pruning of `_descend`, with gcd(P, p - 1) = gcd(P % (p - 1), p - 1).
+        keep = np.flatnonzero(carry % p != 0)
+        owner, p, carry = owner[keep], p[keep], carry[keep]
+        pm1 = p - 1
+        rem = np.array(
+            [products[i] % q for i, q in zip(owner.tolist(), pm1.tolist())],
+            dtype=np.int64,
+        )
+        keep = np.flatnonzero(np.gcd(rem, pm1) == 1)
+        owner, p, carry, pm1 = owner[keep], p[keep], carry[keep], pm1[keep]
+        # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P.
+        reach = np.array([(self.limit - 1) // P for P in products], dtype=np.int64)
+        rmax = reach[owner] // p
+        carry = carry // np.gcd(carry, pm1) * pm1
+        keep = np.flatnonzero(rmax > p)
+        owner, p, carry, rmax = owner[keep], p[keep], carry[keep], rmax[keep]
+        rem = np.array(
+            [products[i] * q % m
+             for i, q, m in zip(owner.tolist(), p.tolist(), carry.tolist())],
+            dtype=np.int64,
+        )
+        t = _inverse_mod(rem, carry)
+        # Lanes with a term in (p, rmax] are closed by the scalar leaf.
+        first = np.where(t > p, t, t + ((p - t) // carry + 1) * carry)
+        for i in np.flatnonzero(first <= rmax).tolist():
+            o, q = int(owner[i]), int(p[i])
+            _complete_final(parents[o][0] + (q,), products[o] * q, int(carry[i]),
+                            self.limit, self.tables, out)
+
 
 def _descend(
     primes: tuple[int, ...],
@@ -463,7 +520,7 @@ def _descend(
     limit: int,
     tables: _Tables,
     out: list,
-    leaves: _LeafBatch | None,
+    leaves: _LeafBatch,
 ) -> None:
     k = len(primes)
     if k == d - 1:
@@ -473,7 +530,8 @@ def _descend(
     sieve = tables.sieve
     lo = bisect_right(sieve, primes[-1]) if primes else bisect_left(sieve, 3)
     hi = bisect_right(sieve, bound)
-    if leaves is not None and k == d - 2:
+    if (k == d - 2 and carry < leaves.carry_cap
+            and product > leaves.product_floor):
         leaves.add(primes, product, carry, lo, hi, out)
         return
     for p in sieve[lo:hi]:
@@ -523,14 +581,14 @@ def _run_task_impl(
     task: tuple,
     limit: int,
     tables: _Tables,
-    leaves: _LeafBatch | None,
+    leaves: _LeafBatch,
     last: bool,
 ) -> list:
     """Search one subtree; return what was emitted during this call.
 
-    With a leaf batch the emissions are those of the flushes this call
-    made, which may complete earlier tasks' leaves; `last` flushes what
-    is still pending, so every emission leaves through this function.
+    The emissions include those of the flushes this call made, which may
+    complete earlier tasks' leaves; `last` flushes what is still pending,
+    so every emission leaves through this function.
     """
     d = task[0]
     primes = tuple(task[1:])
@@ -538,7 +596,7 @@ def _run_task_impl(
     carry = math.lcm(*(p - 1 for p in primes))
     out: list = []
     _descend(primes, product, carry, d, limit, tables, out, leaves)
-    if last and leaves is not None:
+    if last:
         leaves.flush(out)
     return out
 
@@ -546,13 +604,20 @@ def _run_task_impl(
 def _run_tasks(
     tasks: list[tuple], limit: int, tables: _Tables, progress=None
 ) -> list:
-    """Run tasks in order, batching the leaf layer across all of them."""
-    leaves = _LeafBatch(limit, tables) if limit <= _BATCH_LIMIT else None
+    """Run tasks in order, batching the leaf layer across all of them.
+
+    A task that raises is named in a `RuntimeError` chained from the
+    original; its flush may have been closing earlier tasks' leaves.
+    """
+    leaves = _LeafBatch(limit, tables)
     out: list = []
     for i, task in enumerate(tasks):
-        out.extend(
-            _run_task_impl(task, limit, tables, leaves, i == len(tasks) - 1)
-        )
+        try:
+            out.extend(
+                _run_task_impl(task, limit, tables, leaves, i == len(tasks) - 1)
+            )
+        except Exception as exc:
+            raise RuntimeError(f"search task {task} failed: {exc}") from exc
         if progress is not None:
             progress(i + 1, len(tasks))
     return out

@@ -2,6 +2,7 @@ import gzip
 
 import pytest
 
+from carmichael import catalog
 from carmichael.catalog import (
     Catalog,
     CatalogFormatError,
@@ -153,3 +154,53 @@ def test_truncated_gzip_is_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-20])
     with pytest.raises(CatalogFormatError, match="ends early"):
         read_catalog(path)
+
+
+@pytest.mark.parametrize("name", ["cat.txt", "cat.txt.gz"])
+def test_a_failed_write_leaves_the_old_file(monkeypatch, tmp_path, name):
+    path = tmp_path / name
+    write_catalog(small_catalog(), path)
+    before = path.read_bytes()
+    record_lines = catalog._record_lines
+
+    def fail_partway(cat):
+        lines = record_lines(cat)
+        yield next(lines)
+        yield next(lines)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(catalog, "_record_lines", fail_partway)
+    with pytest.raises(OSError, match="disk full"):
+        write_catalog(small_catalog(10**5), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_merge_carries_the_factor_count_range():
+    full = oracle_enumerate(10**6)
+    d3 = Catalog([e for e in full if len(e.factors) == 3],
+                 {"limit": "1000000", "d_min": "3", "d_max": "3"})
+    d4 = Catalog([e for e in full if len(e.factors) >= 4],
+                 {"limit": "1000000", "d_min": "4", "d_max": "6"})
+    merged = merge([d4, d3])
+    assert merged.entries == full
+    assert merged.provenance == {
+        "mode": "merged", "limit": "1000000", "d_min": "3", "d_max": "6",
+        "count": "43",
+    }
+    assert merge([d4]).provenance["d_min"] == "4"
+    # Without d headers a catalog covers 3..max_factor_count(limit) = 3..6.
+    bare = Catalog(full, {"limit": "1000000"})
+    assert merge([bare, d4]).provenance["d_max"] == "6"
+    # Without a limit either, it covers every factor count.
+    assert "d_max" not in merge([Catalog(full, {}), d3]).provenance
+
+
+def test_merge_refuses_a_gap_in_the_factor_count_range():
+    full = oracle_enumerate(10**6)
+    d3 = Catalog([e for e in full if len(e.factors) == 3],
+                 {"limit": "1000000", "d_min": "3", "d_max": "3"})
+    d5 = Catalog([e for e in full if len(e.factors) >= 5],
+                 {"limit": "1000000", "d_min": "5", "d_max": "6"})
+    with pytest.raises(CatalogFormatError, match="d = 4..4 is missing"):
+        merge([d5, d3])

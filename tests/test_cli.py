@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from carmichael import cli
+from carmichael.catalog import merge, read_catalog, write_catalog
 from carmichael.cli import exact_int, main
 
 
@@ -216,3 +217,27 @@ def test_stats_refuses_a_catalog_restricted_by_factor_count(tmp_path, capsys, re
     assert code == 2
     assert "3..6" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+def test_stats_refuses_a_merged_catalog_restricted_by_factor_count(tmp_path, capsys):
+    c4, merged = tmp_path / "c4.txt", tmp_path / "merged.txt"
+    main(["enumerate", "--limit", "1e6", "--min-factors", "4", "--out", str(c4)])
+    capsys.readouterr()
+    write_catalog(merge([read_catalog(c4)]), merged)
+    code = main(["stats", "--input", str(merged), "--out-dir", str(tmp_path / "t")])
+    assert code == 2
+    assert "d = 4..6" in capsys.readouterr().err
+
+
+def test_stats_counts_a_merge_of_the_factor_count_ranges(tmp_path, capsys):
+    c3, c4 = tmp_path / "c3.txt", tmp_path / "c4.txt"
+    merged, out_dir = tmp_path / "merged.txt", tmp_path / "t"
+    main(["enumerate", "--limit", "1e6", "--max-factors", "3", "--out", str(c3)])
+    main(["enumerate", "--limit", "1e6", "--min-factors", "4", "--out", str(c4)])
+    capsys.readouterr()
+    write_catalog(merge([read_catalog(c3), read_catalog(c4)]), merged)
+    args = ["stats", "--input", str(merged), "--out-dir", str(out_dir),
+            "--checkpoints", "1e6"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert (out_dir / "counts.csv").read_text() == "checkpoint,count\n1000000,43\n"

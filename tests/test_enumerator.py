@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from carmichael import enumerator
 from carmichael.enumerator import (
     EnumerationConfig,
     PrefixState,
@@ -86,17 +87,34 @@ def test_complete_final_empty_for_3_5():
 def test_descend_closes_prefixes_with_prime_pairs(batched):
     def pairs(prefix, limit):
         tables = _Tables.for_limit(limit)
-        leaves = _LeafBatch(limit, tables) if batched else None
+        leaves = _LeafBatch(limit, tables)
+        if not batched:
+            leaves.carry_cap = 0  # no parent qualifies: the scalar leaf
         out = []
         _descend(prefix, math.prod(prefix), math.lcm(*(p - 1 for p in prefix)),
                  len(prefix) + 2, limit, tables, out, leaves)
-        if leaves is not None:
-            leaves.flush(out)
+        assert bool(leaves.parents) == batched
+        leaves.flush(out)
         return sorted(fs[-2:] for _, fs in out)
 
     assert pairs((7,), 10**4) == [(13, 19), (13, 31), (19, 67), (23, 41)]
     assert pairs((3,), 10**4) == [(11, 17)]
     assert pairs((3,), 560) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_crashing_search_task_names_itself(monkeypatch, workers):
+    def crash(primes, *rest):
+        raise ZeroDivisionError(f"boom at {primes}")
+
+    monkeypatch.setattr(enumerator, "_complete_final", crash)
+    config = EnumerationConfig(10**6, worker_count=workers)
+    with pytest.raises(
+        RuntimeError, match=r"^search task \(\d+(, \d+)+\) failed: boom at \("
+    ) as info:
+        enumerate_carmichael(config)
+    if workers == 1:
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_enumerate_small_limits():

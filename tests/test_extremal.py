@@ -20,6 +20,13 @@ def test_smallest_with_factors_small_d(d):
     assert len(entry.factors) == d
 
 
+def test_smallest_with_13_factors_lies_above_2_64():
+    # Found by the batched leaf layer above 2**62 (bounds near 2**71).
+    entry = smallest_with_factors(13)
+    assert entry.value == 1791562810662585767521
+    assert entry.factors == (11, 13, 17, 19, 31, 37, 43, 71, 73, 97, 109, 113, 127)
+
+
 def test_smallest_rejects_out_of_range():
     with pytest.raises(ValueError):
         smallest_with_factors(2)

@@ -1,8 +1,9 @@
 """The batched leaf layer against the engine's own scalar leaf.
 
 `_LeafBatch` completes leaf parents (prefixes of d - 2 primes) in int64
-numpy; `_complete_final` is the scalar leaf it replaces below 2**62.
-Both are run here on the same parents and must emit the same numbers.
+numpy; `_complete_final` is the scalar leaf it replaces.  Both are run
+here on the same parents, at or below 2**62 where P is an int64 lane and
+above it where P stays a Python int, and must emit the same numbers.
 """
 
 import math
@@ -53,11 +54,8 @@ def test_inverse_mod_matches_pow():
     assert got == [pow(a, -1, m) for a, m in pairs]
 
 
-class _Recorder:
-    """Stands in for a `_LeafBatch` and keeps the parents `_descend` adds."""
-
-    def __init__(self):
-        self.parents = []
+class _Recorder(_LeafBatch):
+    """A `_LeafBatch` that keeps the parents `_descend` adds, unflushed."""
 
     def add(self, primes, product, carry, lo, hi, out):
         if lo < hi:
@@ -88,7 +86,7 @@ def test_every_leaf_parent_below_1e9(monkeypatch):
     monkeypatch.setattr(enumerator, "_FLUSH", 1000)  # many flushes, split slices
     limit = 10**9
     tables = _Tables.for_limit(limit)
-    recorder = _Recorder()
+    recorder = _Recorder(limit, tables)
     for d, *primes in _seed_tasks(EnumerationConfig(limit), tables):
         primes = tuple(primes)
         _descend(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
@@ -98,17 +96,21 @@ def test_every_leaf_parent_below_1e9(monkeypatch):
     assert len(batched) == 646  # C(10**9): every entry closes one parent
 
 
-def chernick_parents(limit, tables, count):
-    """Parents (6k+1,) whose slice holds 12k+1, closed by r = 18k+1."""
+def chernick_parents(limit, tables, count, factors=3):
+    """Parents of (6k+1)(12k+1)(18k+1), or of that times 36k+1 when
+    factors=4, whose slice holds 12k+1 (or 18k+1), closed by the last."""
     sieve = tables.sieve
-    k = min(iroot(limit // 1296, 3), (sieve[-1] - 1) // 12 - 2)
+    k = min(iroot(limit // 1296, 3), (sieve[-1] - 1) // (6 * factors - 6) - 4)
     parents, expected = [], []
     while len(parents) < count and k > 0:
-        primes = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        primes = (6 * k + 1, 12 * k + 1, 18 * k + 1, 36 * k + 1)[:factors]
         if math.prod(primes) < limit and all(map(is_prime, primes)):
-            i = bisect_left(sieve, primes[1])
-            lo = max(bisect_right(sieve, primes[0]), i - 20)
-            parents.append((primes[:1], primes[0], 6 * k, lo, i + 20))
+            head = primes[:-2]
+            i = bisect_left(sieve, primes[-2])
+            lo = max(bisect_right(sieve, head[-1]), i - 20)
+            parents.append((head, math.prod(head),
+                            math.lcm(*(p - 1 for p in head)), lo,
+                            min(i + 20, len(sieve))))
             expected.append((math.prod(primes), primes))
         k -= 1
     return parents, expected
@@ -161,18 +163,78 @@ def test_catalogs_from_one_and_two_workers_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_limits_above_the_gate_take_the_scalar_leaf(monkeypatch):
+def gated(parents, batch):
+    """The parents `_descend` would queue on `batch`."""
+    return [x for x in parents
+            if x[2] < batch.carry_cap and x[1] > batch.product_floor]
+
+
+@pytest.mark.parametrize("limit, factors", [(2**64, 3), (2**80, 3), (2**96, 4)])
+def test_random_leaf_parents_above_2_62(monkeypatch, limit, factors):
+    monkeypatch.setattr(enumerator, "_FLUSH", 2048)
+    tables = _Tables.for_limit(10**12)
+    batch = _LeafBatch(limit, tables)
+    assert batch.carry_cap == 2**62 // tables.sieve_top
+    parents, expected = chernick_parents(limit, tables, 5, factors)
+    assert gated(parents, batch) == parents and len(expected) == 5
+    rng = random.Random(limit)
+    while len(parents) < 30:
+        parents += gated(random_parents(rng, limit, tables, 1), batch)
+    rng.shuffle(parents)
+    batched = batched_leaves(parents, limit, tables)
+    assert batched == scalar_leaves(parents, limit, tables)
+    assert set(expected) <= set(batched)
+
+
+def cap_carry(monkeypatch, cap):
+    init = _LeafBatch.__init__
+
+    def capped(self, limit, tables):
+        init(self, limit, tables)
+        self.carry_cap = cap
+
+    monkeypatch.setattr(_LeafBatch, "__init__", capped)
+
+
+def test_limits_above_2_62_flush_the_batch(monkeypatch):
     flushed = []
     flush = _LeafBatch.flush
 
     def spy(self, out):
-        flushed.append(self.limit)
+        flushed.append(len(self.parents))
         flush(self, out)
 
     monkeypatch.setattr(_LeafBatch, "flush", spy)
-    reference = enumerate_carmichael(EnumerationConfig(10**6)).entries
-    assert flushed and len(reference) == 43
+    config = EnumerationConfig(2**64, d_min=12, d_max=12)
+    batched = enumerate_carmichael(config).entries
+    assert len(batched) == 5 and sum(flushed) > 0
     flushed.clear()
-    monkeypatch.setattr(enumerator, "_BATCH_LIMIT", 10**6 - 1)
-    assert enumerate_carmichael(EnumerationConfig(10**6)).entries == reference
-    assert not flushed
+    cap_carry(monkeypatch, 0)  # no parent qualifies: every leaf is scalar
+    assert enumerate_carmichael(config).entries == batched
+    assert sum(flushed) == 0
+
+
+def test_parents_above_the_carry_cap_take_the_scalar_loop(monkeypatch):
+    config = EnumerationConfig(2**64, d_min=12, d_max=12)
+    reference = enumerate_carmichael(config).entries
+    cap = 1148400  # about the median carry of this search's leaf parents
+    cap_carry(monkeypatch, cap)
+    queued, parents, leaves = [], [], []
+    add, descend = _LeafBatch.add, enumerator._descend
+
+    def add_spy(self, primes, product, carry, lo, hi, out):
+        queued.append(carry)
+        add(self, primes, product, carry, lo, hi, out)
+
+    def descend_spy(primes, product, carry, d, *rest):
+        if len(primes) == d - 2:
+            parents.append(carry)
+        elif len(primes) == d - 1:
+            leaves.append(primes)
+        descend(primes, product, carry, d, *rest)
+
+    monkeypatch.setattr(_LeafBatch, "add", add_spy)
+    monkeypatch.setattr(enumerator, "_descend", descend_spy)
+    assert enumerate_carmichael(config).entries == reference
+    assert sorted(queued) == sorted(c for c in parents if c < cap)
+    assert queued and len(queued) < len(parents) and leaves
