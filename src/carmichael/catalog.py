@@ -107,7 +107,8 @@ def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
     divisibility conditions), which makes corrupted records loud.  A
     last record without a line end, or a `count` header that disagrees
     with the records read, is always an error, so a truncated file cannot
-    pass for a shorter catalog.
+    pass for a shorter catalog; so is a record at or above the `limit`
+    header, which every writer of catalogs keeps below.
     """
     entries: list[CarmichaelEntry] = []
     provenance: dict[str, str] = {}
@@ -156,7 +157,12 @@ def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
             f"line {lineno}: the last record has no line end:"
             " the catalog is truncated"
         )
-    return Catalog(entries, provenance)
+    cat = Catalog(entries, provenance)
+    if cat.limit is not None and entries and last >= cat.limit:
+        raise CatalogFormatError(
+            f"record {last} is not below the header limit {cat.limit}"
+        )
+    return cat
 
 
 def _factor_range(cat: Catalog) -> tuple[int, int | None]:
@@ -179,8 +185,10 @@ def _factor_range(cat: Catalog) -> tuple[int, int | None]:
 def merge(catalogs: list[Catalog]) -> Catalog:
     """Sorted union; conflicting factorizations for one N are an error.
 
-    The result covers the union of the inputs' factor-count ranges; ranges
-    that leave a gap are an error, as the result would be short there.
+    The result is complete below the smallest input limit, and keeps only
+    the entries below it.  It covers the union of the inputs' factor-count
+    ranges; ranges that leave a gap are an error, as the result would be
+    short there.
     """
     combined = sorted(
         (e for cat in catalogs for e in cat.entries), key=lambda e: e.value
@@ -197,7 +205,10 @@ def merge(catalogs: list[Catalog]) -> Catalog:
     limits = [c.limit for c in catalogs if c.limit is not None]
     provenance: dict[str, str] = {"mode": "merged"}
     if limits and len(limits) == len(catalogs):
-        provenance["limit"] = str(min(limits))
+        # Complete only below the smallest bound: drop what lies above it.
+        limit = min(limits)
+        provenance["limit"] = str(limit)
+        entries = [e for e in entries if e.value < limit]
     ranges = sorted(map(_factor_range, catalogs), key=lambda r: r[0])
     if ranges:
         d_min, d_max = ranges[0]

@@ -54,28 +54,36 @@ in one process, peak RSS is 3.5 MiB above the scalar leaf's with 2**14
 and 8 MiB above it with 2**16 (the heap keeps what numpy's temporaries of
 varying size leave behind); 2**18 adds 17 MiB at 10**12 in a single run.
 
+The prune gcd(P, p - 1) = 1 of `_descend` holds exactly when no prime of
+the parent divides p - 1, as P is their squarefree product.  So the flush
+keeps the parents' primes as int64 columns, padded with sieve_top (which
+exceeds every p - 1, so it divides none), and prunes by one int64 `%` per
+column, each about 20x cheaper than `np.gcd` on the same lane.  Both
+paths below share it.
+
 At or below 2**62 (`_BATCH_LIMIT`) P itself is an int64 lane, and the
-flush also tests every short progression (at most `_SHORT_PROGRESSION`
-terms, where the scalar leaf walks it too) as (P2 - 1) % (r - 1) == 0
-with P2 = P * p.  Only the hits reach `is_prime` and the Korselt
-re-check; leaves with longer progressions go to `_complete_final` one by
-one, which keeps its route choice.  Int64 is exact there: candidates obey
-P * p**2 < limit, so P2 < limit; L2 divides the product of the (pi - 1),
-so L2 < P2; t < L2; rmax < limit; the first term above p is at most
-p + L2, and the Euclid's cofactors and products stay within 2 * L2.  So
-every value formed is below 2 * limit <= 2**63.
+flush also tests every progression of at most `_LONG_PROGRESSION` terms
+as (P2 - 1) % (r - 1) == 0 with P2 = P * p, expanding the terms about
+`_PIECE` at a time so that memory does not grow with the spans.  Only the
+hits reach `is_prime` and the Korselt re-check; leaves with longer
+progressions go to `_complete_final` one by one, which takes the divisor
+route for them.  Int64 is exact there: candidates obey P * p**2 < limit,
+so P2 < limit; L2 divides the product of the (pi - 1), so L2 < P2;
+t < L2; every term r is at most rmax < limit; the first term above p is
+at most p + L2, and the Euclid's cofactors and products stay within
+2 * L2.  So every value formed is below 2 * limit <= 2**63.
 
 Above 2**62 (the deep `smallest` bounds) P stays a Python int, and the
-two lane values that involve it, P % (p - 1) for the gcd prune and
-P * p % L2 for the inverse, are formed one lane at a time; every lane
-that keeps a term in (p, rmax] goes to `_complete_final` with Python
-ints.  `_descend` queues a parent there only when L < 2**62 // sieve_top
-and R = (limit - 1) // P < 2**62, and closes any other leaf parent one
-leaf at a time.  Int64 is exact for a queued parent: p < sieve_top, so
-L2 <= L * (p - 1) < 2**62; t and P * p % L2 are below L2;
-rmax = R // p equals (limit - 1) // (P * p) and is below 2**62; the
-first term above p is at most p + L2 < 2**63, and the Euclid stays
-within 2 * L2 < 2**63.  The gate reads only the parent's own L and P.
+one lane value that involves it, P * p % L2 for the inverse, is formed
+one lane at a time; every lane that keeps a term in (p, rmax] goes to
+`_complete_final` with Python ints.  `_descend` queues a parent there
+only when L < 2**62 // sieve_top and R = (limit - 1) // P < 2**62, and
+closes any other leaf parent one leaf at a time.  Int64 is exact for a
+queued parent: p < sieve_top, so L2 <= L * (p - 1) < 2**62; t and
+P * p % L2 are below L2; rmax = R // p equals (limit - 1) // (P * p) and
+is below 2**62; the first term above p is at most p + L2 < 2**63, and the
+Euclid stays within 2 * L2 < 2**63.  The gate reads only the parent's own
+L and P.
 
 Work is partitioned into subtree tasks seeded by the first one or two
 prefix primes; results are merged, sorted and checked for duplicates, so
@@ -120,6 +128,8 @@ _SPF_CAP = 1 << 23
 _BATCH_LIMIT = 1 << 62
 # Candidate primes pending before the batched leaf layer flushes.
 _FLUSH = 1 << 14
+# Progression terms a flush expands at once, give or take one progression.
+_PIECE = 4 * _FLUSH
 
 
 def max_factor_count(limit: int) -> int:
@@ -396,15 +406,15 @@ class _LeafBatch:
     """Leaf parents of d - 2 primes, completed together in int64 numpy.
 
     `add` queues a parent with its slice sieve[lo:hi] of candidates for
-    the last-but-one prime p; every `_FLUSH` candidates, `flush` takes
-    each surviving p through the residue step of `_complete_final` at
-    once.  At or below `_BATCH_LIMIT`, leaves whose progression is short
-    are tested term by term here and the others go to `_complete_final`
-    one by one, which keeps its choice between the progression and the
-    divisors of P*p - 1.  Above it, every leaf with a term in (p, rmax]
-    goes to `_complete_final`.  `_descend` queues a parent only when its
-    carry is below `carry_cap` and its product above `product_floor`, the
-    bounds that keep every lane within int64 (module docstring).
+    the last-but-one prime p; every `_FLUSH` candidates, `flush` prunes
+    them by the parents' primes and takes each surviving p through the
+    residue step of `_complete_final` at once.  At or below
+    `_BATCH_LIMIT`, progressions of at most `_LONG_PROGRESSION` terms are
+    tested term by term here and longer ones go to `_complete_final` one
+    by one.  Above it, every leaf with a term in (p, rmax] goes to
+    `_complete_final`.  `_descend` queues a parent only when its carry is
+    below `carry_cap` and its product above `product_floor`, the bounds
+    that keep every lane within int64 (module docstring).
     """
 
     def __init__(self, limit: int, tables: _Tables):
@@ -431,24 +441,30 @@ class _LeafBatch:
         parents, self.parents, self.pending = self.parents, [], 0
         if not parents:
             return
-        _, products, carries, los, his = zip(*parents)
+        heads, products, carries, los, his = zip(*parents)
         los, his = np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
         counts = his - los
         owner = np.repeat(np.arange(len(parents)), counts)
         offset = np.repeat(los - (np.cumsum(counts) - counts), counts)
         p = self.tables.sieve64[np.arange(len(owner)) + offset]
+        carry = np.array(carries, dtype=np.int64)[owner]
+        # The pruning of `_descend`: p must not divide L, and no prime of
+        # the parent may divide p - 1 (so gcd(P, p - 1) = 1).  Shorter
+        # parents are padded with sieve_top, which divides no p - 1.
+        width = max(map(len, heads))
+        pad = (self.tables.sieve_top,) * width
+        factors = np.array([h + pad[len(h):] for h in heads], dtype=np.int64)
+        keep = carry % p != 0
+        for column in factors.T:
+            keep &= (p - 1) % column[owner] != 0
+        keep = np.flatnonzero(keep)
+        owner, p, carry = owner[keep], p[keep], carry[keep]
+        carry = carry // np.gcd(carry, p - 1) * (p - 1)  # L2 = lcm(L, p - 1)
         if self.limit > _BATCH_LIMIT:
-            self._flush_wide(parents, products, carries, owner, p, out)
+            self._flush_wide(heads, products, owner, p, carry, out)
             return
-        products = np.array(products, dtype=np.int64)
-        carries = np.array(carries, dtype=np.int64)
-        product, carry = products[owner], carries[owner]
-        # The pruning of `_descend`: p must not divide L, nor p - 1 meet P.
-        keep = np.flatnonzero((carry % p != 0) & (np.gcd(product, p - 1) == 1))
-        owner, p, product, carry = owner[keep], p[keep], product[keep], carry[keep]
-        product *= p
+        product = np.array(products, dtype=np.int64)[owner] * p
         rmax = (self.limit - 1) // product
-        carry = carry // np.gcd(carry, p - 1) * (p - 1)
         keep = np.flatnonzero(rmax > p)
         owner, p, product, carry, rmax = (
             a[keep] for a in (owner, p, product, carry, rmax)
@@ -461,41 +477,36 @@ class _LeafBatch:
             a[keep] for a in (owner, p, product, carry, rmax, t, first)
         )
         span = (rmax - t) // carry + 1
-        long = span > _SHORT_PROGRESSION
+        long = span > _LONG_PROGRESSION
         for i in np.flatnonzero(long).tolist():
-            primes = parents[owner[i]][0] + (int(p[i]),)
+            primes = heads[owner[i]] + (int(p[i]),)
             _complete_final(primes, int(product[i]), int(carry[i]), self.limit,
                             self.tables, out)
         short = np.flatnonzero(~long)
         terms = (rmax[short] - first[short]) // carry[short] + 1
-        lane = np.repeat(short, terms)
-        step = np.arange(len(lane)) - np.repeat(np.cumsum(terms) - terms, terms)
-        r = first[lane] + step * carry[lane]
-        hits = np.flatnonzero((product[lane] - 1) % (r - 1) == 0)
-        for i, q in zip(lane[hits].tolist(), r[hits].tolist()):
-            if is_prime(q):
-                primes = parents[owner[i]][0] + (int(p[i]), q)
-                n = int(product[i]) * q
-                if korselt_witness(n, primes) is None:
-                    out.append((n, primes))
+        # The lanes whose terms start in one window of _PIECE are expanded
+        # together: fewer than _PIECE + _LONG_PROGRESSION terms at once.
+        start = np.cumsum(terms) - terms
+        cuts = (np.flatnonzero(np.diff(start // _PIECE)) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(short)]):
+            count = terms[a:b]
+            lane = np.repeat(short[a:b], count)
+            step = np.arange(len(lane)) - np.repeat(np.cumsum(count) - count,
+                                                    count)
+            r = first[lane] + step * carry[lane]
+            hits = np.flatnonzero((product[lane] - 1) % (r - 1) == 0)
+            for i, q in zip(lane[hits].tolist(), r[hits].tolist()):
+                if is_prime(q):
+                    primes = heads[owner[i]] + (int(p[i]), q)
+                    n = int(product[i]) * q
+                    if korselt_witness(n, primes) is None:
+                        out.append((n, primes))
 
-    def _flush_wide(self, parents, products, carries, owner, p, out) -> None:
+    def _flush_wide(self, heads, products, owner, p, carry, out) -> None:
         """The rest of `flush` above `_BATCH_LIMIT`: each P is a Python int."""
-        carry = np.array(carries, dtype=np.int64)[owner]
-        # The pruning of `_descend`, with gcd(P, p - 1) = gcd(P % (p - 1), p - 1).
-        keep = np.flatnonzero(carry % p != 0)
-        owner, p, carry = owner[keep], p[keep], carry[keep]
-        pm1 = p - 1
-        rem = np.array(
-            [products[i] % q for i, q in zip(owner.tolist(), pm1.tolist())],
-            dtype=np.int64,
-        )
-        keep = np.flatnonzero(np.gcd(rem, pm1) == 1)
-        owner, p, carry, pm1 = owner[keep], p[keep], carry[keep], pm1[keep]
         # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P.
         reach = np.array([(self.limit - 1) // P for P in products], dtype=np.int64)
         rmax = reach[owner] // p
-        carry = carry // np.gcd(carry, pm1) * pm1
         keep = np.flatnonzero(rmax > p)
         owner, p, carry, rmax = owner[keep], p[keep], carry[keep], rmax[keep]
         rem = np.array(
@@ -508,7 +519,7 @@ class _LeafBatch:
         first = np.where(t > p, t, t + ((p - t) // carry + 1) * carry)
         for i in np.flatnonzero(first <= rmax).tolist():
             o, q = int(owner[i]), int(p[i])
-            _complete_final(parents[o][0] + (q,), products[o] * q, int(carry[i]),
+            _complete_final(heads[o] + (q,), products[o] * q, int(carry[i]),
                             self.limit, self.tables, out)
 
 

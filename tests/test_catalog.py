@@ -114,6 +114,25 @@ def test_merge_by_factor_count_below_100k():
     assert len(merge([d3, d4])) == 16
 
 
+def test_merge_keeps_only_entries_below_the_smallest_limit():
+    merged = merge([small_catalog(10**4), small_catalog(10**5)])
+    assert merged.provenance["limit"] == "10000"
+    assert merged.provenance["count"] == "7"
+    assert merged.entries == oracle_enumerate(10**4)
+
+
+def test_a_record_at_or_above_the_limit_is_rejected(tmp_path):
+    path = tmp_path / "cat.txt"
+    cat = small_catalog(8911)
+    cat.entries.append(CarmichaelEntry(8911, (7, 19, 67)))
+    write_catalog(cat, path)
+    with pytest.raises(CatalogFormatError, match="8911 is not below the header"):
+        read_catalog(path)
+    cat.provenance["limit"] = "8912"
+    write_catalog(cat, path)
+    assert read_catalog(path).entries == cat.entries
+
+
 def test_merge_conflict_is_integrity_error():
     a = Catalog([CarmichaelEntry(561, (3, 11, 17))], {})
     b = Catalog([CarmichaelEntry(561, (3, 187))], {})

@@ -33,10 +33,10 @@ def test_verify_carmichael(capsys):
 
 
 def test_verify_non_carmichael(capsys):
-    assert main(["verify", "562"]) == 1
+    assert main(["verify", "341"]) == 1  # 11 * 31 passes base 2
     out = capsys.readouterr().out
-    assert out.startswith("562 not-carmichael (fewer than 3 prime factors")
-    assert "281" in out
+    assert out.startswith("341 not-carmichael (fewer than 3 prime factors")
+    assert "11·31" in out
 
 
 def test_verify_mixed_exit_code(capsys):
@@ -52,6 +52,18 @@ def test_verify_rejects_by_fermat_witness_without_factoring(monkeypatch, capsys)
     n = 10000000000000000051 * 30000000000000000041  # two 20-digit primes
     assert main(["verify", str(n)]) == 1
     assert capsys.readouterr().out == f"{n} not-carmichael (Fermat witness 2)\n"
+
+
+def test_verify_rejects_even_numbers_without_factoring(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(cli, "factorize", refuse)
+    n = 2 * (10**15 + 37) * (3 * 10**16 + 29)
+    assert main(["verify", "562", str(n)]) == 1
+    assert capsys.readouterr().out == (
+        f"562 not-carmichael (even)\n{n} not-carmichael (even)\n"
+    )
 
 
 def test_verify_from_file(tmp_path, capsys):
@@ -241,3 +253,33 @@ def test_stats_counts_a_merge_of_the_factor_count_ranges(tmp_path, capsys):
     assert main(args) == 0
     capsys.readouterr()
     assert (out_dir / "counts.csv").read_text() == "checkpoint,count\n1000000,43\n"
+
+
+def test_stats_of_a_merge_keeps_to_the_merged_bound(tmp_path, capsys):
+    c4, c5 = tmp_path / "c4.txt", tmp_path / "c5.txt"
+    merged, out_dir = tmp_path / "merged.txt", tmp_path / "t"
+    main(["oracle", "--limit", "1e4", "--out", str(c4)])
+    main(["oracle", "--limit", "1e5", "--out", str(c5)])
+    capsys.readouterr()
+    write_catalog(merge([read_catalog(c4), read_catalog(c5)]), merged)
+    assert read_catalog(merged).values() == [
+        561, 1105, 1729, 2465, 2821, 6601, 8911
+    ]
+    args = ["stats", "--input", str(merged), "--out-dir", str(out_dir),
+            "--checkpoints", "1e4", "--tables", "records"]
+    assert main(args) == 0
+    capsys.readouterr()
+    records = (out_dir / "records.csv").read_text().splitlines()
+    assert "largest_prime_factor,67,8911,7.19.67" in records  # not 52633
+
+
+def test_stats_rejects_a_record_at_or_above_the_limit(tmp_path, capsys):
+    cat_path = tmp_path / "cat.txt"
+    main(["oracle", "--limit", "1e4", "--out", str(cat_path)])
+    capsys.readouterr()
+    text = cat_path.read_text().replace("count: 7", "count: 8")
+    cat_path.write_text(text + "10585 5 29 73\n")  # the next Carmichael number
+    code = main(["stats", "--input", str(cat_path), "--out-dir", str(tmp_path / "t")])
+    assert code == 2
+    assert "10585 is not below the header limit 10000" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()

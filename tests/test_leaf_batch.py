@@ -82,17 +82,23 @@ def batched_leaves(parents, limit, tables):
     return sorted(out)
 
 
-def test_every_leaf_parent_below_1e9(monkeypatch):
-    monkeypatch.setattr(enumerator, "_FLUSH", 1000)  # many flushes, split slices
-    limit = 10**9
-    tables = _Tables.for_limit(limit)
+def every_leaf_parent(limit, tables):
+    """The leaf parents `_descend` queues in a whole search below limit."""
     recorder = _Recorder(limit, tables)
     for d, *primes in _seed_tasks(EnumerationConfig(limit), tables):
         primes = tuple(primes)
         _descend(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
                  d, limit, tables, [], recorder)
-    batched = batched_leaves(recorder.parents, limit, tables)
-    assert batched == scalar_leaves(recorder.parents, limit, tables)
+    return recorder.parents
+
+
+def test_every_leaf_parent_below_1e9(monkeypatch):
+    monkeypatch.setattr(enumerator, "_FLUSH", 1000)  # many flushes, split slices
+    limit = 10**9
+    tables = _Tables.for_limit(limit)
+    parents = every_leaf_parent(limit, tables)
+    batched = batched_leaves(parents, limit, tables)
+    assert batched == scalar_leaves(parents, limit, tables)
     assert len(batched) == 646  # C(10**9): every entry closes one parent
 
 
@@ -151,6 +157,93 @@ def test_random_leaf_parents_up_to_2_62(monkeypatch, limit):
     assert batched == scalar_leaves(parents, limit, tables)
     assert len(expected) == 5
     assert set(expected) <= set(batched)
+
+
+def leaf_spans(parents, limit, tables):
+    """(rmax - t) // L2 + 1, as `flush` measures it, for every leaf with
+    rmax > p and t <= rmax."""
+    spans = []
+    for primes, product, carry, lo, hi in parents:
+        for p in tables.sieve[lo:hi]:
+            if carry % p == 0 or math.gcd(product, p - 1) != 1:
+                continue
+            product2, carry2 = product * p, math.lcm(carry, p - 1)
+            rmax = (limit - 1) // product2
+            t = pow(product2 % carry2, -1, carry2)
+            if rmax > p and rmax >= t:
+                spans.append((rmax - t) // carry2 + 1)
+    return spans
+
+
+def test_a_flush_of_parents_with_different_d(monkeypatch):
+    limit = 10**9
+    tables = _Tables.for_limit(limit)
+    parents = every_leaf_parent(limit, tables)
+    random.Random(9).shuffle(parents)  # every flush mixes the factor counts
+    widths = []
+    flush = _LeafBatch.flush
+
+    def spy(self, out):
+        widths.append({len(parent[0]) for parent in self.parents})
+        flush(self, out)
+
+    monkeypatch.setattr(_LeafBatch, "flush", spy)
+    batched = batched_leaves(parents, limit, tables)
+    assert batched == scalar_leaves(parents, limit, tables)
+    assert len(batched) == 646
+    assert widths and all({1, 2, 3, 4} <= w for w in widths)
+
+
+# 7036064101 = 11 * 101 * 151 * 41941: after P2 = 11 * 101 * 151 the terms
+# run t = 241, 541, ... with L2 = 300, and 41941 is the 140th.
+@pytest.mark.parametrize("span, scalar", [(512, 0), (513, 1)])
+def test_progressions_of_up_to_512_terms_stay_in_the_batch(monkeypatch, span,
+                                                           scalar):
+    head, p, q = (11, 101), 151, 41941
+    product2, carry2 = math.prod(head) * p, math.lcm(10, 100, 150)
+    t = pow(product2 % carry2, -1, carry2)
+    assert t > p
+    limit = product2 * (t + (span - 1) * carry2) + 1  # rmax: the span-th term
+    tables = _Tables.for_limit(10**12)
+    i = bisect_left(tables.sieve, p)
+    parents = [(head, math.prod(head), math.lcm(10, 100), i, i + 1)]
+    assert leaf_spans(parents, limit, tables) == [span]
+    calls = []
+    complete = enumerator._complete_final
+
+    def spy(primes, *rest):
+        calls.append(primes)
+        complete(primes, *rest)
+
+    monkeypatch.setattr(enumerator, "_complete_final", spy)
+    batched = batched_leaves(parents, limit, tables)
+    assert batched == scalar_leaves(parents, limit, tables)
+    assert (7036064101, head + (p, q)) in batched
+    assert len(calls) == scalar
+
+
+@pytest.mark.parametrize("limit", [10**10, 10**12])
+def test_random_parents_with_long_progressions(monkeypatch, limit):
+    monkeypatch.setattr(enumerator, "_FLUSH", 4096)
+    tables = _Tables.for_limit(10**12)
+    parents = random_parents(random.Random(limit), limit, tables, 40)
+    spans = leaf_spans(parents, limit, tables)
+    # Short, batched long and scalar long progressions all occur.
+    assert min(spans) <= 24 and max(spans) > 512
+    assert sum(24 < s <= 512 for s in spans) > 300
+    assert batched_leaves(parents, limit, tables) == scalar_leaves(
+        parents, limit, tables)
+
+
+@pytest.mark.parametrize("piece", [1, 100])
+def test_the_terms_are_expanded_in_many_pieces(monkeypatch, piece):
+    # _PIECE = 1 gives every lane a piece of its own.
+    monkeypatch.setattr(enumerator, "_PIECE", piece)
+    limit = 10**12
+    tables = _Tables.for_limit(limit)
+    parents = random_parents(random.Random(piece), limit, tables, 40)
+    batched = batched_leaves(parents, limit, tables)
+    assert batched and batched == scalar_leaves(parents, limit, tables)
 
 
 def test_catalogs_from_one_and_two_workers_are_byte_identical(tmp_path):
