@@ -5,12 +5,11 @@ __version__ = "0.1.0"
 from .catalog import Catalog, merge, read_catalog, write_catalog
 from .enumerator import (
     EnumerationConfig,
-    PrefixState,
     enumerate_carmichael,
     max_factor_count,
 )
-from .extremal import RecordSet, kform_check, scan_records, smallest_with_factors
-from .korselt import CarmichaelEntry, fermat_scan, is_carmichael, korselt_failure
+from .extremal import RecordSet, scan_records, smallest_with_factors
+from .korselt import CarmichaelEntry, fermat_scan, korselt_failure
 from .primes import Factorization, factorize, is_prime, prime_sieve
 
 __all__ = [
@@ -19,14 +18,11 @@ __all__ = [
     "CarmichaelEntry",
     "EnumerationConfig",
     "Factorization",
-    "PrefixState",
     "RecordSet",
     "enumerate_carmichael",
     "factorize",
     "fermat_scan",
-    "is_carmichael",
     "is_prime",
-    "kform_check",
     "korselt_failure",
     "max_factor_count",
     "merge",

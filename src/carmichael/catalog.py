@@ -19,9 +19,11 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import __version__
 from .korselt import CarmichaelEntry
 
-__all__ = ["Catalog", "CatalogFormatError", "write_catalog", "read_catalog", "merge"]
+__all__ = ["Catalog", "CatalogFormatError", "write_catalog", "read_catalog", "merge",
+           "complete_provenance"]
 
 
 class CatalogFormatError(Exception):
@@ -49,6 +51,19 @@ class Catalog:
 
     def values(self) -> list[int]:
         return [e.value for e in self.entries]
+
+
+def complete_provenance(limit: int, d_min: int, d_max: int,
+                        count: int) -> dict[str, str]:
+    """The header of a catalog of all `count` Carmichael numbers below
+    `limit` with d_min..d_max prime factors."""
+    return {
+        "generator": f"carmichael {__version__}",
+        "limit": str(limit),
+        "d_min": str(d_min),
+        "d_max": str(d_max),
+        "count": str(count),
+    }
 
 
 def _record_lines(cat: Catalog):
@@ -176,10 +191,7 @@ def _factor_range(cat: Catalog) -> tuple[int, int | None]:
     d_min = int(cat.provenance.get("d_min", 3))
     if "d_max" in cat.provenance:
         return d_min, int(cat.provenance["d_max"])
-    limit = cat.limit
-    if limit is None:
-        return d_min, None
-    return d_min, max_factor_count(limit) if limit >= 561 else 3
+    return d_min, None if cat.limit is None else max_factor_count(cat.limit)
 
 
 def merge(catalogs: list[Catalog]) -> Catalog:

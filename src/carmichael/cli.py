@@ -15,7 +15,13 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from . import __version__
-from .catalog import Catalog, CatalogFormatError, read_catalog, write_catalog
+from .catalog import (
+    Catalog,
+    CatalogFormatError,
+    complete_provenance,
+    read_catalog,
+    write_catalog,
+)
 from .enumerator import (
     EnumerationConfig,
     default_worker_count,
@@ -198,17 +204,9 @@ def _cmd_stats(args) -> int:
 def _cmd_oracle(args) -> int:
     entries = oracle_enumerate(args.limit)
     if args.out:
-        cat = Catalog(
-            entries,
-            {
-                "generator": f"carmichael {__version__}",
-                "limit": str(args.limit),
-                "d_min": "3",
-                "d_max": str(max_factor_count(args.limit)) if args.limit > 561 else "3",
-                "count": str(len(entries)),
-            },
-        )
-        write_catalog(cat, args.out)
+        header = complete_provenance(
+            args.limit, 3, max_factor_count(args.limit), len(entries))
+        write_catalog(Catalog(entries, header), args.out)
     print(f"count={len(entries)}")
     return 0
 

@@ -58,32 +58,33 @@ The prune gcd(P, p - 1) = 1 of `_descend` holds exactly when no prime of
 the parent divides p - 1, as P is their squarefree product.  So the flush
 keeps the parents' primes as int64 columns, padded with sieve_top (which
 exceeds every p - 1, so it divides none), and prunes by one int64 `%` per
-column, each about 20x cheaper than `np.gcd` on the same lane.  Both
-paths below share it.
+column, each about 20x cheaper than `np.gcd` on the same lane.
 
-At or below 2**62 (`_BATCH_LIMIT`) P itself is an int64 lane, and the
-flush also tests every progression of at most `_LONG_PROGRESSION` terms
-as (P2 - 1) % (r - 1) == 0 with P2 = P * p, expanding the terms about
-`_PIECE` at a time so that memory does not grow with the spans.  Only the
-hits reach `is_prime` and the Korselt re-check; leaves with longer
-progressions go to `_complete_final` one by one, which takes the divisor
-route for them.  Int64 is exact there: candidates obey P * p**2 < limit,
-so P2 < limit; L2 divides the product of the (pi - 1), so L2 < P2;
-t < L2; every term r is at most rmax < limit; the first term above p is
-at most p + L2, and the Euclid's cofactors and products stay within
-2 * L2.  So every value formed is below 2 * limit <= 2**63.
+Every limit takes the same steps but two, which ask whether the limit is
+at most 2**62 (`_BATCH_LIMIT`).  At or below it the inverse's argument is
+the int64 lane P2 = P * p, and the flush tests every progression of at
+most `_LONG_PROGRESSION` terms as (P2 - 1) % (r - 1) == 0, expanding the
+terms about `_PIECE` at a time so that memory does not grow with the
+spans; only the hits reach `is_prime` and the Korselt re-check, and
+`_complete_final` closes the longer ones by the divisor route.  Above it
+P stays a Python int, P * p % L2 is formed one lane at a time, and every
+lane with a term in (p, rmax] goes to `_complete_final`.
 
-Above 2**62 (the deep `smallest` bounds) P stays a Python int, and the
-one lane value that involves it, P * p % L2 for the inverse, is formed
-one lane at a time; every lane that keeps a term in (p, rmax] goes to
-`_complete_final` with Python ints.  `_descend` queues a parent there
-only when L < 2**62 // sieve_top and R = (limit - 1) // P < 2**62, and
-closes any other leaf parent one leaf at a time.  Int64 is exact for a
-queued parent: p < sieve_top, so L2 <= L * (p - 1) < 2**62; t and
-P * p % L2 are below L2; rmax = R // p equals (limit - 1) // (P * p) and
-is below 2**62; the first term above p is at most p + L2 < 2**63, and the
-Euclid stays within 2 * L2 < 2**63.  The gate reads only the parent's own
-L and P.
+Int64 is exact at or below 2**62: candidates obey P * p**2 < limit, so
+P2 < limit; rmax = R // p with R = (limit - 1) // P, taken once per
+parent, equals (limit - 1) // (P * p) (flooring by P and then by p floors
+by P * p), and rmax <= R < limit; L2 divides the product of the (pi - 1),
+so L2 < P2; t < L2; the first term above p is at most p + L2, and the
+Euclid's cofactors and products stay within 2 * L2.  So every value
+formed is below 2 * limit <= 2**63.
+
+Above 2**62 (the deep `smallest` bounds) `_descend` queues a parent only
+when L < 2**62 // sieve_top and R < 2**62, and closes any other leaf
+parent one leaf at a time.  Int64 is exact for a queued parent:
+p < sieve_top, so L2 <= L * (p - 1) < 2**62; t and P * p % L2 are below
+L2; rmax <= R < 2**62; the first term above p is at most p + L2 < 2**63,
+and the Euclid stays within 2 * L2 < 2**63.  The gate reads only the
+parent's own L and P.
 
 Work is partitioned into subtree tasks seeded by the first one or two
 prefix primes; results are merged, sorted and checked for duplicates, so
@@ -97,27 +98,24 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import ClassVar
 from multiprocessing import get_context
 
 import numpy as np
 
 from .arith import iroot
-from .catalog import Catalog
+from .catalog import Catalog, complete_provenance
 from .korselt import CarmichaelEntry, korselt_witness
 from .primes import factorize, is_prime, prime_sieve, smallest_factor_table
 
 __all__ = [
-    "PrefixState",
     "EnumerationConfig",
     "max_factor_count",
-    "child_bound",
     "enumerate_carmichael",
 ]
 
-# Completion-route tuning: walk the residue progression when it has at
-# most this many terms, otherwise enumerate divisors of P - 1.
-_SHORT_PROGRESSION = 24
+# Completion-route tuning: walk the residue progression when it has at most
+# this many terms, otherwise enumerate divisors of P - 1.  At or below
+# _BATCH_LIMIT the leaf batch walks the short progressions itself.
 _LONG_PROGRESSION = 512
 # Smallest-factor table size for fast divisor-route factorizations.
 _SPF_CAP = 1 << 23
@@ -130,20 +128,23 @@ _BATCH_LIMIT = 1 << 62
 _FLUSH = 1 << 14
 # Progression terms a flush expands at once, give or take one progression.
 _PIECE = 4 * _FLUSH
+# Lame: Euclid's algorithm on numbers below 2**62 reaches remainder 1 within
+# 87 division steps, which consecutive Fibonacci numbers take.
+_EUCLID_STEPS = 87
 
 
 def max_factor_count(limit: int) -> int:
-    """Largest d with the product of the d smallest odd primes < limit."""
-    if limit < 561:
-        raise ValueError(f"limit must be at least 561, got {limit}")
-    product, d = 1, 0
-    p = 3
-    while True:
-        if product * p >= limit:
-            return d
+    """Largest d with the product of the d smallest odd primes < limit.
+
+    Every Carmichael number has at least 3 prime factors, so the answer is
+    never below 3: it is 3 for every limit up to 3 * 5 * 7 * 11 = 1155.
+    """
+    product, d, p = 3 * 5 * 7, 3, 11
+    while product * p < limit:
         product *= p
         d += 1
         p = _next_odd_prime(p)
+    return d
 
 
 def _next_odd_prime(p: int) -> int:
@@ -163,44 +164,6 @@ def min_odd_prime_product(count: int) -> int:
 
 
 @dataclass(frozen=True)
-class PrefixState:
-    """A partial factorization p1 < ... < pk with cached P and L."""
-
-    primes: tuple[int, ...]
-    product: int
-    carry_lcm: int
-    limit: int
-
-    @classmethod
-    def make(cls, primes: tuple[int, ...], limit: int) -> "PrefixState":
-        if any(p % 2 == 0 for p in primes):
-            raise ValueError("prefix primes must be odd")
-        if list(primes) != sorted(set(primes)):
-            raise ValueError("prefix primes must be strictly ascending")
-        product = math.prod(primes)
-        if product > limit:
-            raise ValueError("prefix product exceeds the limit")
-        carry = math.lcm(*(p - 1 for p in primes)) if primes else 1
-        return cls(primes, product, carry, limit)
-
-    @property
-    def last(self) -> int:
-        return self.primes[-1] if self.primes else 2
-
-
-def child_bound(prefix: PrefixState, d: int) -> int:
-    """Largest admissible next prefix prime for a target of d factors.
-
-    The d - k primes still to be chosen are all at least as large as the
-    next one, so the next prime p must satisfy P * p**(d-k) < limit.
-    """
-    k = len(prefix.primes)
-    if not k < d:
-        raise ValueError(f"prefix already has {k} primes, target {d}")
-    return iroot((prefix.limit - 1) // prefix.product, d - k)
-
-
-@dataclass(frozen=True)
 class EnumerationConfig:
     limit: int
     d_min: int = 3
@@ -208,9 +171,8 @@ class EnumerationConfig:
     worker_count: int = 1
 
     def resolved_d_max(self) -> int:
-        cap = max_factor_count(self.limit) if self.limit > 561 else 3
         if self.d_max is None:
-            return cap
+            return max_factor_count(self.limit)
         return self.d_max
 
     def validate(self) -> None:
@@ -218,16 +180,10 @@ class EnumerationConfig:
             raise ValueError("limit must be at least 2")
         if self.worker_count < 1:
             raise ValueError("worker count must be positive")
-        d_max = self.resolved_d_max()
-        if not 3 <= self.d_min <= d_max:
-            raise ValueError(
-                f"need 3 <= d_min <= d_max, got [{self.d_min}, {d_max}]"
-            )
-        if self.limit > 561 and d_max > max_factor_count(self.limit):
-            raise ValueError(
-                f"d_max {d_max} exceeds max_factor_count(limit) ="
-                f" {max_factor_count(self.limit)}"
-            )
+        d_max, cap = self.resolved_d_max(), max_factor_count(self.limit)
+        if not 3 <= self.d_min <= d_max <= cap:
+            raise ValueError(f"need 3 <= d_min <= d_max <= max_factor_count"
+                             f"(limit) = {cap}, got [{self.d_min}, {d_max}]")
 
 
 @functools.cache
@@ -247,8 +203,6 @@ class _Tables:
     spf: object  # array('i'); smallest factor of odd numbers
     spf_limit: int
 
-    _cache: ClassVar[dict[tuple[int, int], "_Tables"]] = {}
-
     @classmethod
     def for_limit(cls, limit: int, d_min: int = 3) -> "_Tables":
         # The largest sieve-drawn prime is the (d-1)-th, bounded by
@@ -260,22 +214,19 @@ class _Tables:
         sieve_top = 1 << sieve_top.bit_length()
         spf_limit = 1 << int(min(_SPF_CAP, max(4096, limit))).bit_length()
         spf_limit = min(spf_limit, _SPF_CAP)
-        key = (sieve_top, spf_limit)
-        hit = cls._cache.get(key)
-        if hit is not None:
-            return hit
-        sieve = prime_sieve(sieve_top)
-        tables = cls(
-            sieve=sieve,
-            sieve64=np.array(sieve, dtype=np.int64),
-            sieve_top=sieve_top,
-            spf=_spf_table(spf_limit),
-            spf_limit=spf_limit,
-        )
-        if len(cls._cache) > 3:
-            cls._cache.clear()
-        cls._cache[key] = tables
-        return tables
+        return _build_tables(sieve_top, spf_limit)
+
+
+@functools.lru_cache(maxsize=4)
+def _build_tables(sieve_top: int, spf_limit: int) -> _Tables:
+    sieve = prime_sieve(sieve_top)
+    return _Tables(
+        sieve=sieve,
+        sieve64=np.array(sieve, dtype=np.int64),
+        sieve_top=sieve_top,
+        spf=_spf_table(spf_limit),
+        spf_limit=spf_limit,
+    )
 
 
 def _spf_factor(n: int, tables: _Tables) -> list[tuple[int, int]]:
@@ -342,15 +293,8 @@ def _complete_final(
     if span <= 0:
         return
 
-    if span <= _SHORT_PROGRESSION:
-        use_progression = True
-    elif product - 1 < tables.spf_limit:
-        use_progression = False
-    else:
-        use_progression = span <= _LONG_PROGRESSION
-
     pm1 = product - 1
-    if use_progression:
+    if span <= _LONG_PROGRESSION:
         r = t if t > p_last else t + ((p_last - t) // carry + 1) * carry
         while r <= rmax:
             if pm1 % (r - 1) == 0 and is_prime(r):
@@ -378,15 +322,16 @@ def _inverse_mod(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     inverse.  Done lanes step on harmlessly (r1 drops to 0 and stays
     there; dividing by it yields 0) until half the lanes are done, when
     they are dropped.  The cofactors stay within [-m, m] and q * s1
-    within 2m, so nothing leaves int64.
+    within 2m, so nothing leaves int64.  A lane with gcd(a, m) > 1 never
+    reaches 1; after `_EUCLID_STEPS` steps it raises ArithmeticError.
     """
-    out = np.empty_like(m)
+    out = np.zeros_like(m)  # an inverse is never 0, so 0 marks a lane not done
     lanes = np.arange(len(m))
     r0, r1 = m, a % m
     s0, s1 = np.zeros_like(m), np.ones_like(m)
     live = len(m)
     with np.errstate(divide="ignore"):
-        while live:
+        for _ in range(_EUCLID_STEPS + 1):
             hit = np.flatnonzero(r1 == 1)
             if hit.size:
                 out[lanes[hit]] = s1[hit]
@@ -396,10 +341,13 @@ def _inverse_mod(a: np.ndarray, m: np.ndarray) -> np.ndarray:
                     lanes, r0, r1, s0, s1 = (
                         x[keep] for x in (lanes, r0, r1, s0, s1)
                     )
+            if not live:
+                return out % m
             q, r = np.divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
-    return out % m
+    i = np.flatnonzero(out == 0)[0]
+    raise ArithmeticError(f"{a[i]} has no inverse modulo {m[i]}")
 
 
 class _LeafBatch:
@@ -408,13 +356,16 @@ class _LeafBatch:
     `add` queues a parent with its slice sieve[lo:hi] of candidates for
     the last-but-one prime p; every `_FLUSH` candidates, `flush` prunes
     them by the parents' primes and takes each surviving p through the
-    residue step of `_complete_final` at once.  At or below
-    `_BATCH_LIMIT`, progressions of at most `_LONG_PROGRESSION` terms are
-    tested term by term here and longer ones go to `_complete_final` one
-    by one.  Above it, every leaf with a term in (p, rmax] goes to
-    `_complete_final`.  `_descend` queues a parent only when its carry is
-    below `carry_cap` and its product above `product_floor`, the bounds
-    that keep every lane within int64 (module docstring).
+    residue step of `_complete_final` at once.  Every limit runs the same
+    steps but two.  The inverse's argument is the int64 lane P * p at or
+    below `_BATCH_LIMIT`, and P * p % L2, formed from Python ints lane by
+    lane, above it.  `_complete_final` closes, one by one, the leaves whose
+    progressions have more than `_LONG_PROGRESSION` terms at or below
+    `_BATCH_LIMIT`, and every leaf with a term in (p, rmax] above it; the
+    flush tests the other progressions term by term.  `_descend` queues a
+    parent only when its carry is below `carry_cap` and its product above
+    `product_floor`, the bounds that keep every lane within int64 (module
+    docstring).
     """
 
     def __init__(self, limit: int, tables: _Tables):
@@ -460,15 +411,23 @@ class _LeafBatch:
         keep = np.flatnonzero(keep)
         owner, p, carry = owner[keep], p[keep], carry[keep]
         carry = carry // np.gcd(carry, p - 1) * (p - 1)  # L2 = lcm(L, p - 1)
-        if self.limit > _BATCH_LIMIT:
-            self._flush_wide(heads, products, owner, p, carry, out)
-            return
-        product = np.array(products, dtype=np.int64)[owner] * p
-        rmax = (self.limit - 1) // product
+        # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P.
+        reach = np.array([(self.limit - 1) // P for P in products],
+                         dtype=np.int64)
+        rmax = reach[owner] // p
         keep = np.flatnonzero(rmax > p)
-        owner, p, product, carry, rmax = (
-            a[keep] for a in (owner, p, product, carry, rmax)
-        )
+        owner, p, carry, rmax = owner[keep], p[keep], carry[keep], rmax[keep]
+        narrow = self.limit <= _BATCH_LIMIT
+        if narrow:
+            product = np.array(products, dtype=np.int64)[owner] * p
+        else:
+            # P * p exceeds int64; only its residue is formed, and no lane
+            # reaches the progression test below, which reads P * p.
+            product = np.array(
+                [products[i] * q % m
+                 for i, q, m in zip(owner.tolist(), p.tolist(), carry.tolist())],
+                dtype=np.int64,
+            )
         t = _inverse_mod(product, carry)
         # First term above p; keep the lanes where it is at most rmax.
         first = np.where(t > p, t, t + ((p - t) // carry + 1) * carry)
@@ -477,11 +436,12 @@ class _LeafBatch:
             a[keep] for a in (owner, p, product, carry, rmax, t, first)
         )
         span = (rmax - t) // carry + 1
-        long = span > _LONG_PROGRESSION
+        # Above _BATCH_LIMIT every lane is long, as every span is at least 1.
+        long = span > (_LONG_PROGRESSION if narrow else 0)
         for i in np.flatnonzero(long).tolist():
-            primes = heads[owner[i]] + (int(p[i]),)
-            _complete_final(primes, int(product[i]), int(carry[i]), self.limit,
-                            self.tables, out)
+            o, q = int(owner[i]), int(p[i])
+            _complete_final(heads[o] + (q,), products[o] * q, int(carry[i]),
+                            self.limit, self.tables, out)
         short = np.flatnonzero(~long)
         terms = (rmax[short] - first[short]) // carry[short] + 1
         # The lanes whose terms start in one window of _PIECE are expanded
@@ -501,26 +461,6 @@ class _LeafBatch:
                     n = int(product[i]) * q
                     if korselt_witness(n, primes) is None:
                         out.append((n, primes))
-
-    def _flush_wide(self, heads, products, owner, p, carry, out) -> None:
-        """The rest of `flush` above `_BATCH_LIMIT`: each P is a Python int."""
-        # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P.
-        reach = np.array([(self.limit - 1) // P for P in products], dtype=np.int64)
-        rmax = reach[owner] // p
-        keep = np.flatnonzero(rmax > p)
-        owner, p, carry, rmax = owner[keep], p[keep], carry[keep], rmax[keep]
-        rem = np.array(
-            [products[i] * q % m
-             for i, q, m in zip(owner.tolist(), p.tolist(), carry.tolist())],
-            dtype=np.int64,
-        )
-        t = _inverse_mod(rem, carry)
-        # Lanes with a term in (p, rmax] are closed by the scalar leaf.
-        first = np.where(t > p, t, t + ((p - t) // carry + 1) * carry)
-        for i in np.flatnonzero(first <= rmax).tolist():
-            o, q = int(owner[i]), int(p[i])
-            _complete_final(heads[o] + (q,), products[o] * q, int(carry[i]),
-                            self.limit, self.tables, out)
 
 
 def _descend(
@@ -567,24 +507,22 @@ _WORKER_STATE: dict = {}
 
 
 def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
-    """Subtree roots: (d, p1) for d = 3, (d, p1, p2) for deeper targets."""
-    limit = config.limit
+    """Subtree roots: (d, p1) for d = 3, (d, p1, p2) for deeper targets.
+
+    Bounds and prune are `_descend`'s; p2 > p1 - 1 = L cannot divide L.
+    """
+    limit, sieve = config.limit, tables.sieve
     tasks: list[tuple] = []
     for d in range(config.d_min, config.resolved_d_max() + 1):
-        root = PrefixState((), 1, 1, limit)
-        b1 = child_bound(root, d)
-        i1 = bisect_left(tables.sieve, 3)
-        for p1 in tables.sieve[i1 : bisect_right(tables.sieve, b1)]:
+        b1 = iroot(limit - 1, d)
+        for p1 in sieve[bisect_left(sieve, 3) : bisect_right(sieve, b1)]:
             if d == 3:
                 tasks.append((d, p1))
                 continue
-            pre1 = PrefixState((p1,), p1, p1 - 1, limit)
-            b2 = child_bound(pre1, d)
-            j = bisect_right(tables.sieve, p1)
-            for p2 in tables.sieve[j : bisect_right(tables.sieve, b2)]:
-                if (p1 - 1) % p2 == 0 or (p2 - 1) % p1 == 0:
-                    continue
-                tasks.append((d, p1, p2))
+            b2 = iroot((limit - 1) // p1, d - 1)
+            for p2 in sieve[bisect_right(sieve, p1) : bisect_right(sieve, b2)]:
+                if (p2 - 1) % p1:
+                    tasks.append((d, p1, p2))
     return tasks
 
 
@@ -686,14 +624,8 @@ def enumerate_carmichael(
         entries.append(entry)
     # No worker count here: it provably does not affect the content, and
     # equal catalogs must serialize byte-identically.
-    provenance = {
-        "generator": "carmichael 0.1.0",
-        "limit": str(config.limit),
-        "d_min": str(config.d_min),
-        "d_max": str(config.resolved_d_max()),
-        "count": str(len(entries)),
-    }
-    return Catalog(entries, provenance)
+    return Catalog(entries, complete_provenance(
+        config.limit, config.d_min, config.resolved_d_max(), len(entries)))
 
 
 def _chunk(tasks: list, workers: int) -> list[list]:

@@ -12,7 +12,7 @@ from .enumerator import (
 )
 from .korselt import CarmichaelEntry
 
-__all__ = ["RecordSet", "smallest_with_factors", "scan_records", "kform_check",
+__all__ = ["RecordSet", "smallest_with_factors", "scan_records",
            "DETERMINISTIC_PRIMALITY_MAX_D"]
 
 # Factor counts whose minimal value stays below 2**64, where the
@@ -65,22 +65,3 @@ def scan_records(cat: Catalog) -> RecordSet:
             best_least = (bottom, entry)
     return RecordSet(best_max, best_least)
 
-
-def kform_check(
-    entry: CarmichaelEntry, pattern: tuple[int, ...]
-) -> int | None:
-    """Common k with factors (a1*k + 1, ..., ad*k + 1), if one exists."""
-    if len(pattern) != len(entry.factors):
-        raise ValueError(
-            f"pattern length {len(pattern)} != factor count {len(entry.factors)}"
-        )
-    k = None
-    for p, a in zip(entry.factors, pattern):
-        if a <= 0 or (p - 1) % a:
-            return None
-        this = (p - 1) // a
-        if k is None:
-            k = this
-        elif k != this:
-            return None
-    return k if k and k > 0 else None

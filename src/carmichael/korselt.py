@@ -19,13 +19,12 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .primes import Factorization, factorize, is_prime, smallest_factor_table
+from .primes import Factorization, is_prime, smallest_factor_table
 
 __all__ = [
     "CarmichaelEntry",
     "korselt_failure",
     "korselt_witness",
-    "is_carmichael",
     "fermat_scan",
     "ALL_BASES",
     "oracle_enumerate",
@@ -94,14 +93,6 @@ def korselt_failure(n: int, f: Factorization) -> str | None:
     if p is not None:
         return f"{p} - 1 does not divide n - 1"
     return None
-
-
-def is_carmichael(n: int) -> bool:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if n % 2 == 0 or is_prime(n):
-        return False
-    return korselt_failure(n, factorize(n)) is None
 
 
 # Sentinel for exhaustive base testing in fermat_scan.

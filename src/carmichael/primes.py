@@ -105,26 +105,11 @@ def smallest_factor_table(limit: int) -> array:
     """
     size = limit // 2 + 1
     spf = np.zeros(size, dtype=np.int32)
-    for p in range(math.isqrt(limit), 2, -1):
-        if p % 2 and _is_small_prime(p):
-            spf[(p * p) // 2 :: p] = p
+    for p in reversed(prime_sieve(math.isqrt(limit))[1:]):
+        spf[(p * p) // 2 :: p] = p
     out = array("i")
     out.frombytes(spf.tobytes())
     return out
-
-
-def _is_small_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13):
-        if p % q == 0:
-            return p == q
-    d = 17
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
@@ -246,9 +231,7 @@ class Factorization:
 
 # Trial-division table used by factorize(); small enough that a full scan
 # is cheap, large enough that rho only ever sees hard cofactors.
-_TRIAL_PRIMES: tuple[int, ...] = tuple(
-    p for p in range(2, 1024) if _is_small_prime(p)
-)
+_TRIAL_PRIMES: tuple[int, ...] = tuple(prime_sieve(1023))
 
 
 def _brent_rho(n: int) -> int:

@@ -96,7 +96,7 @@ def _check_factor_range(cat: Catalog) -> None:
     and d_max headers is taken as complete.
     """
     limit = cat.limit
-    full = max_factor_count(limit) if limit is not None and limit >= 561 else 3
+    full = max_factor_count(limit) if limit is not None else 3
     d_min = int(cat.provenance.get("d_min", 3))
     d_max = int(cat.provenance.get("d_max", full))
     if d_min > 3 or d_max < full:

@@ -5,12 +5,11 @@ import pytest
 from carmichael import enumerator
 from carmichael.enumerator import (
     EnumerationConfig,
-    PrefixState,
     _complete_final,
     _descend,
     _LeafBatch,
+    _seed_tasks,
     _Tables,
-    child_bound,
     enumerate_carmichael,
     max_factor_count,
 )
@@ -43,32 +42,30 @@ def test_max_factor_count_known_points():
 
 
 def test_max_factor_count_rejects_small_limit():
-    with pytest.raises(ValueError):
-        max_factor_count(560)
+    # No small limit is rejected: below 1155 = 3*5*7*11 the answer is 3,
+    # the fewest factors a Carmichael number has.
+    assert max_factor_count(560) == 3
+    assert max_factor_count(100) == 3
+    assert max_factor_count(1155) == 3
+    assert max_factor_count(1156) == 4
 
 
-def test_child_bound_examples():
-    root = PrefixState.make((), 10**3)
-    assert child_bound(root, 3) == 9  # p1 in {3, 5, 7}
-    pre = PrefixState.make((3,), 10**3)
-    assert child_bound(pre, 3) == 18
-    pre = PrefixState.make((3, 5, 7), 561)
-    assert child_bound(pre, 4) == 5  # < 7, so no children
-
-
-def test_prefix_state_checks():
-    with pytest.raises(ValueError):
-        PrefixState.make((2, 3), 100)  # even prime
-    with pytest.raises(ValueError):
-        PrefixState.make((5, 3), 100)  # not ascending
-    pre = PrefixState.make((3, 11), 10**4)
-    assert pre.product == 33
-    assert pre.carry_lcm == 10
+def test_seed_tasks_cover_every_prefix():
+    tables = _Tables.for_limit(10**3)
+    assert _seed_tasks(EnumerationConfig(10**3), tables) == [
+        (3, 3), (3, 5), (3, 7)]  # p1 <= iroot(999, 3) = 9
+    limit = 10**6
+    tasks = set(_seed_tasks(EnumerationConfig(limit), _Tables.for_limit(limit)))
+    entries = oracle_enumerate(limit)
+    assert {len(e.factors) for e in entries} == {3, 4, 5}
+    for e in entries:
+        d = len(e.factors)
+        assert (d, *e.factors[:1 if d == 3 else 2]) in tasks
 
 
 def test_complete_final_completing_561():
-    # 30 terms in the progression, so the divisors of 32 are walked.
-    assert completions((3, 11), 10**4) == [17]
+    # 3030 terms in the progression, so the divisors of 32 are walked.
+    assert completions((3, 11), 10**6) == [17]
 
 
 def test_complete_final_completing_1105():

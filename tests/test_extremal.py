@@ -1,7 +1,7 @@
 import pytest
 
 from carmichael.catalog import Catalog
-from carmichael.extremal import kform_check, scan_records, smallest_with_factors
+from carmichael.extremal import scan_records, smallest_with_factors
 from carmichael.korselt import CarmichaelEntry, oracle_enumerate
 
 SMALLEST = {
@@ -68,20 +68,3 @@ def test_scan_records_empty_catalog():
     with pytest.raises(ValueError):
         scan_records(Catalog([], {}))
 
-
-def test_kform_check_record_value():
-    entry = CarmichaelEntry(9585921133193329, (174763, 199729, 274627))
-    assert kform_check(entry, (7, 8, 11)) == 24966
-
-
-def test_kform_check_negative():
-    assert kform_check(CarmichaelEntry(561, (3, 11, 17)), (1, 1, 1)) is None
-
-
-def test_kform_check_1729():
-    assert kform_check(CarmichaelEntry(1729, (7, 13, 19)), (1, 2, 3)) == 6
-
-
-def test_kform_check_pattern_length():
-    with pytest.raises(ValueError):
-        kform_check(CarmichaelEntry(561, (3, 11, 17)), (1, 2))

@@ -1,10 +1,10 @@
 import pytest
 
+from carmichael.cli import main
 from carmichael.korselt import (
     ALL_BASES,
     CarmichaelEntry,
     fermat_scan,
-    is_carmichael,
     korselt_failure,
     oracle_enumerate,
 )
@@ -38,14 +38,25 @@ def test_korselt_failure_clauses():
     assert korselt_failure(231, factorize(231)) == "7 - 1 does not divide n - 1"
 
 
-def test_is_carmichael_small_values():
-    assert is_carmichael(561)
-    assert is_carmichael(1105)
-    assert is_carmichael(1729)
-    assert not is_carmichael(1730)
-    assert not is_carmichael(2)
-    with pytest.raises(ValueError):
-        is_carmichael(1)
+def verdicts(numbers, capsys):
+    """n -> True when `carmichael verify` calls it carmichael."""
+    main(["verify", *map(str, numbers)])
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(numbers)
+    return {int(line.split()[0]): line.split()[1] == "carmichael"
+            for line in out}
+
+
+def test_is_carmichael_small_values(capsys):
+    assert main(["verify", "561", "1105", "1729", "1730", "2", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "561 carmichael",
+        "1105 carmichael",
+        "1729 carmichael",
+        "1730 not-carmichael (even)",
+        "2 not-carmichael (even)",
+        "1 not-carmichael (smaller than 2)",
+    ]
 
 
 def test_korselt_implies_odd():
@@ -96,14 +107,12 @@ def test_oracle_entries_validate():
         assert fermat_scan(e.value, 64)
 
 
-def test_is_carmichael_agrees_with_oracle_to_100k():
+def test_is_carmichael_agrees_with_oracle_to_100k(capsys):
     members = {e.value for e in oracle_enumerate(10**5)}
-    for n in range(3, 10**5, 2):
-        if n in members:
-            assert is_carmichael(n)
+    assert all(verdicts(sorted(members), capsys).values())
     # spot-check non-members densely below 10**4
-    for n in range(2, 10**4):
-        assert is_carmichael(n) == (n in members)
+    numbers = range(2, 10**4)
+    assert verdicts(numbers, capsys) == {n: n in members for n in numbers}
 
 
 def test_entry_validate_catches_corruption():

@@ -54,6 +54,13 @@ def test_inverse_mod_matches_pow():
     assert got == [pow(a, -1, m) for a, m in pairs]
 
 
+def test_inverse_mod_raises_on_a_lane_without_inverse():
+    # gcd(6, 9) = 3: that lane's remainder falls to 3, then 0, never 1.
+    with pytest.raises(ArithmeticError, match="6 has no inverse modulo 9"):
+        _inverse_mod(np.array([6, 2], dtype=np.int64),
+                     np.array([9, 7], dtype=np.int64))
+
+
 class _Recorder(_LeafBatch):
     """A `_LeafBatch` that keeps the parents `_descend` adds, unflushed."""
 
