@@ -143,10 +143,13 @@ def _cmd_smallest(args) -> int:
 def _cmd_verify(args) -> int:
     numbers = list(args.numbers)
     if args.file:
-        for line in args.file.read_text().splitlines():
+        for i, line in enumerate(args.file.read_text().splitlines(), 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                numbers.append(exact_int(line.split()[0]))
+                try:
+                    numbers.append(exact_int(line.split()[0]))
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"{args.file}:{i}: {exc}") from None
     if not numbers:
         print("verify: no numbers given", file=sys.stderr)
         return 2

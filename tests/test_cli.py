@@ -74,6 +74,17 @@ def test_verify_from_file(tmp_path, capsys):
     assert out == ["561 carmichael", "41041 carmichael"]
 
 
+def test_verify_names_the_line_of_a_file_that_is_not_a_number(tmp_path,
+                                                              capsys):
+    path = tmp_path / "nums.txt"
+    path.write_text("561\nabc\n")
+    assert main(["verify", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"carmichael verify: {path}:2: not a number: 'abc'\n")
+
+
 def test_usage_error_exit_code():
     code, _, err = run_cli("enumerate", "--limit", "notanumber", "--out", "x")
     assert code == 2

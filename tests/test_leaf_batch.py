@@ -3,7 +3,9 @@
 `_LeafBatch` completes leaf parents (prefixes of d - 2 primes) in int64
 numpy; `_complete_final` is the scalar leaf it replaces.  Both are run
 here on the same parents, at or below 2**62 where P is an int64 lane and
-above it where P stays a Python int, and must emit the same numbers.
+above it where P stays a Python int, and must emit the same numbers.  At
+or below 2**62 the batch closes a parent through its slice or through
+the residue class of p * q; the route tests force either one.
 """
 
 import math
@@ -101,12 +103,14 @@ def every_leaf_parent(limit, tables):
 
 def test_every_leaf_parent_below_1e9(monkeypatch):
     monkeypatch.setattr(enumerator, "_FLUSH", 1000)  # many flushes, split slices
+    routes = RouteSpy(monkeypatch)
     limit = 10**9
     tables = _Tables.for_limit(limit)
     parents = every_leaf_parent(limit, tables)
     batched = batched_leaves(parents, limit, tables)
     assert batched == scalar_leaves(parents, limit, tables)
     assert len(batched) == 646  # C(10**9): every entry closes one parent
+    assert routes.classes and routes.slices  # the engine's ratio takes both
 
 
 def chernick_parents(limit, tables, count, factors=3):
@@ -191,7 +195,8 @@ def test_a_flush_of_parents_with_different_d(monkeypatch):
     flush = _LeafBatch.flush
 
     def spy(self, out):
-        widths.append({len(parent[0]) for parent in self.parents})
+        # Over both queues: slices and residue classes.
+        widths.append({len(x[0]) for x in self.parents + self.classes})
         flush(self, out)
 
     monkeypatch.setattr(_LeafBatch, "flush", spy)
@@ -251,6 +256,124 @@ def test_the_terms_are_expanded_in_many_pieces(monkeypatch, piece):
     parents = random_parents(random.Random(piece), limit, tables, 40)
     batched = batched_leaves(parents, limit, tables)
     assert batched and batched == scalar_leaves(parents, limit, tables)
+
+
+class RouteSpy:
+    """What each flush hands to the class route and to the slice route."""
+
+    def __init__(self, monkeypatch):
+        self.classes, self.slices = [], []
+        close_classes = _LeafBatch._close_classes
+        close_slices = _LeafBatch._close_slices
+
+        def classes(batch, queue, out):
+            self.classes.append([hi - lo for *_, lo, hi in queue])
+            close_classes(batch, queue, out)
+
+        def slices(batch, queue, out):
+            self.slices += queue
+            close_slices(batch, queue, out)
+
+        monkeypatch.setattr(_LeafBatch, "_close_classes", classes)
+        monkeypatch.setattr(_LeafBatch, "_close_slices", slices)
+
+    def check(self, ratio, limit, tables):
+        """Ratio 0 keeps the class route idle; 10**9 gives it every parent
+        whose reach is inside the factor table."""
+        if ratio == 0:
+            assert not self.classes
+        if ratio == 10**9:
+            assert self.classes
+            assert all((limit - 1) // product >= tables.spf_limit
+                       for _, product, *_ in self.slices)
+
+
+# 0: slices only; None: the engine's ratio; 10**9: classes wherever allowed.
+ROUTES = pytest.mark.parametrize("ratio", [0, None, 10**9])
+
+
+def set_ratio(monkeypatch, ratio):
+    if ratio is not None:
+        monkeypatch.setattr(enumerator, "_CLASS_RATIO", ratio)
+
+
+@pytest.mark.parametrize("ratio", [0, 10**9])
+def test_every_leaf_parent_below_1e9_by_either_route(monkeypatch, ratio):
+    set_ratio(monkeypatch, ratio)
+    routes = RouteSpy(monkeypatch)
+    limit = 10**9
+    tables = _Tables.for_limit(limit)
+    parents = every_leaf_parent(limit, tables)
+    batched = batched_leaves(parents, limit, tables)
+    assert batched == scalar_leaves(parents, limit, tables)
+    assert len(batched) == 646
+    routes.check(ratio, limit, tables)
+
+
+def cut_slices(rng, parents):
+    """The parents, then each again with its slice cut at both ends."""
+    cut = []
+    for primes, product, carry, lo, hi in parents:
+        a, b = sorted(rng.randint(lo, hi) for _ in range(2))
+        cut.append((primes, product, carry, a, b))
+    return parents + cut
+
+
+@ROUTES
+@pytest.mark.parametrize("limit", [10**10, 10**12])
+def test_random_partial_slices_by_either_route(monkeypatch, limit, ratio):
+    monkeypatch.setattr(enumerator, "_FLUSH", 4096)
+    set_ratio(monkeypatch, ratio)
+    routes = RouteSpy(monkeypatch)
+    tables = _Tables.for_limit(10**12)
+    rng = random.Random(limit)
+    parents, expected = chernick_parents(limit, tables, 5)
+    parents = cut_slices(rng, parents + random_parents(rng, limit, tables, 60))
+    rng.shuffle(parents)
+    batched = batched_leaves(parents, limit, tables)
+    assert batched == scalar_leaves(parents, limit, tables)
+    assert len(expected) == 5 and set(expected) <= set(batched)
+    routes.check(ratio, limit, tables)
+
+
+def test_a_d3_class_spans_several_flush_pieces(monkeypatch):
+    # p1 = 131 closes 5 Carmichael numbers below 10**9; its class of p * q
+    # holds about R / 130 = 58719 values, its slice 335 candidates.
+    monkeypatch.setattr(enumerator, "_CLASS_RATIO", 10**9)
+    routes = RouteSpy(monkeypatch)
+    limit, p1 = 10**9, 131
+    tables = _Tables.for_limit(limit)
+    reach = (limit - 1) // p1
+    lo = bisect_right(tables.sieve, p1)
+    hi = bisect_right(tables.sieve, math.isqrt(reach))
+    parents = [((p1,), p1, p1 - 1, lo, hi)]
+    batched = batched_leaves(parents, limit, tables)
+    assert len(batched) == 5
+    assert batched == scalar_leaves(parents, limit, tables)
+    floor, c = tables.sieve[lo] ** 2, pow(p1, -1, p1 - 1)
+    pieces = [n for flush in routes.classes for n in flush]
+    assert len(pieces) >= 3 and max(pieces) <= enumerator._FLUSH
+    assert sum(pieces) == sum(w > floor for w in range(c, reach + 1, p1 - 1))
+    assert not routes.slices
+
+
+@ROUTES
+def test_a_slice_cut_at_a_completion_closes_it_once(monkeypatch, ratio):
+    # Each of p1 = 131's five numbers 131 * p * q is closed by the half
+    # of the slice that holds p, and only by that half.
+    set_ratio(monkeypatch, ratio)
+    limit, p1 = 10**9, 131
+    tables = _Tables.for_limit(limit)
+    lo = bisect_right(tables.sieve, p1)
+    hi = bisect_right(tables.sieve, math.isqrt((limit - 1) // p1))
+    whole = [((p1,), p1, p1 - 1, lo, hi)]
+    expected = scalar_leaves(whole, limit, tables)
+    assert len(expected) == 5
+    for _, (_, p, _) in expected:
+        i = bisect_left(tables.sieve, p)
+        for cut in (i, i + 1):
+            halves = [((p1,), p1, p1 - 1, lo, cut), ((p1,), p1, p1 - 1, cut, hi)]
+            assert batched_leaves(halves, limit, tables) == expected
 
 
 def test_catalogs_from_one_and_two_workers_are_byte_identical(tmp_path):
