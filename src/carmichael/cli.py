@@ -46,6 +46,14 @@ def exact_int(text: str) -> int:
         value = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    # int(value) costs time quadratic in its digits, and Python will not
+    # print more than this many anyway (4300 unless set; the limit came
+    # with Python 3.10.7).
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if 0 < digits <= value.adjusted():
+        raise argparse.ArgumentTypeError(f"more than {digits} digits: {text!r}")
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)

@@ -4,9 +4,11 @@ Reproduces every table of the source dataset: total and per-factor-count
 counts at checkpoints, the k(X) exponent function, decade growth ratios,
 C(X) as a power of X, residue-class tabulations, per-prime divisor and
 least-prime-factor counts, and the extremal records.  Counting is strict:
-C(X) covers entries < X.
+C(X) covers entries < X.  Every count table comes from one pass over the
+sorted catalog, which adds each slice between consecutive checkpoints to
+a running tally (`_tally`).
 
-All logarithms in `k_of` and `power_exponent` are natural; the unit tests
+All logarithms in `k_of` and `power_exponents` are natural; the unit tests
 pin that convention by matching the published five-decimal values.
 Formatted output rounds half-to-even at the published precision (5
 decimals for k and exponents, 3 for ratios).
@@ -17,12 +19,16 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
+from collections import Counter
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
-from .catalog import Catalog
+from .catalog import Catalog, _factor_range
 from .enumerator import max_factor_count
 from .extremal import RecordSet, scan_records
+from .korselt import CarmichaelEntry
 from .primes import prime_sieve
 
 __all__ = [
@@ -92,36 +98,47 @@ def _check_factor_range(cat: Catalog) -> None:
     """Refuse a catalog whose header restricts the factor count.
 
     It holds only part of the Carmichael numbers below its bound, so
-    every count taken from it would be short.  A catalog without d_min
-    and d_max headers is taken as complete.
+    every count taken from it would be short.
     """
-    limit = cat.limit
-    full = max_factor_count(limit) if limit is not None else 3
-    d_min = int(cat.provenance.get("d_min", 3))
-    d_max = int(cat.provenance.get("d_max", full))
-    if d_min > 3 or d_max < full:
+    d_min, d_max = _factor_range(cat)
+    full = max_factor_count(cat.limit) if cat.limit is not None else 3
+    if d_min > 3 or (d_max is not None and d_max < full):
         raise ValueError(
             f"the catalog holds only d = {d_min}..{d_max} prime factors,"
             f" not 3..{full}: its counts would be short"
         )
 
 
+def _tally(
+    cat: Catalog,
+    cps: list[int],
+    keys: Callable[[list[CarmichaelEntry]], Iterable[Hashable]],
+) -> dict[int, Counter]:
+    """For each checkpoint X, a Counter of keys(entries < X).
+
+    One pass over the sorted catalog: each slice between consecutive
+    checkpoints is counted once and added to a running total.
+    """
+    validate_checkpoints(cat, cps)
+    values = cat.values()
+    running: Counter = Counter()
+    out = {}
+    lo = 0
+    for x in cps:
+        hi = bisect_left(values, x, lo)
+        running.update(keys(cat.entries[lo:hi]))
+        out[x] = running.copy()
+        lo = hi
+    return out
+
+
 def count_table(
     cat: Catalog, cps: list[int]
 ) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
     """C(X) and C(d, X) for each checkpoint X (strictly below X)."""
-    validate_checkpoints(cat, cps)
-    values = cat.values()
-    counts: dict[int, int] = {}
-    by_d: dict[tuple[int, int], int] = {}
-    sizes = [len(e.factors) for e in cat.entries]
-    for x in cps:
-        n = bisect_left(values, x)
-        counts[x] = n
-        for d in sorted(set(sizes[:n])):
-            by_d[(d, x)] = 0
-        for d in sizes[:n]:
-            by_d[(d, x)] += 1
+    tally = _tally(cat, cps, lambda s: (len(e.factors) for e in s))
+    counts = {x: c.total() for x, c in tally.items()}
+    by_d = {(d, x): c[d] for x, c in tally.items() for d in sorted(c)}
     return counts, by_d
 
 
@@ -136,25 +153,21 @@ def k_of(x: int, c: int) -> float:
 
 
 def growth_ratios(decade_counts: dict[int, int]) -> dict[int, float]:
-    """C(10**n) / C(10**(n-1)) keyed by n."""
-    out = {}
-    for n in sorted(decade_counts):
-        if n - 1 in decade_counts and decade_counts[n - 1] > 0:
-            out[n] = decade_counts[n] / decade_counts[n - 1]
-    if not out:
-        raise ValueError("need counts at consecutive decade checkpoints")
-    return out
+    """C(10**n) / C(10**(n-1)) keyed by n, for each consecutive pair."""
+    return {
+        n: decade_counts[n] / decade_counts[n - 1]
+        for n in sorted(decade_counts)
+        if decade_counts.get(n - 1, 0) > 0
+    }
 
 
 def power_exponents(decade_counts: dict[int, int]) -> dict[int, float]:
-    """ln C(10**n) / (n ln 10) keyed by n."""
-    out = {}
-    for n, c in sorted(decade_counts.items()):
-        if c > 0:
-            out[n] = math.log(c) / (n * math.log(10))
-    if not out:
-        raise ValueError("no usable decade counts")
-    return out
+    """ln C(10**n) / (n ln 10) keyed by n, for each positive count."""
+    return {
+        n: math.log(c) / (n * math.log(10))
+        for n, c in sorted(decade_counts.items())
+        if c > 0
+    }
 
 
 def residue_table(
@@ -163,43 +176,23 @@ def residue_table(
     """Counts of entries < X in each residue class modulo m."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    validate_checkpoints(cat, cps)
-    values = cat.values()
-    out: dict[tuple[int, int], int] = {}
-    for x in cps:
-        n = bisect_left(values, x)
-        row = [0] * modulus
-        for v in values[:n]:
-            row[v % modulus] += 1
-        for cls in range(modulus):
-            out[(cls, x)] = row[cls]
-    return out
+    tally = _tally(cat, cps, lambda s: (e.value % modulus for e in s))
+    return {(cls, x): c.get(cls, 0) for x, c in tally.items() for cls in range(modulus)}
 
 
 def prime_tables(
     cat: Catalog, primes: list[int], cps: list[int]
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
     """Divisor counts and least-prime-factor counts per prime and X."""
-    validate_checkpoints(cat, cps)
-    divisor: dict[tuple[int, int], int] = {}
-    least: dict[tuple[int, int], int] = {}
     wanted = set(primes)
-    values = cat.values()
-    for x in cps:
-        n = bisect_left(values, x)
-        div_row = {p: 0 for p in primes}
-        least_row = {p: 0 for p in primes}
-        for e in cat.entries[:n]:
-            for p in e.factors:
-                if p in wanted:
-                    div_row[p] += 1
-            lp = e.factors[0]
-            if lp in wanted:
-                least_row[lp] += 1
-        for p in primes:
-            divisor[(p, x)] = div_row[p]
-            least[(p, x)] = least_row[p]
-    return divisor, least
+    divisor = _tally(
+        cat, cps, lambda s: (p for e in s for p in e.factors if p in wanted)
+    )
+    least = _tally(cat, cps, lambda s: (e.factors[0] for e in s))
+    return (
+        {(p, x): divisor[x][p] for x in cps for p in primes},
+        {(p, x): least[x][p] for x in cps for p in primes},
+    )
 
 
 @dataclass
@@ -264,12 +257,11 @@ def build_report(
         if bound is None:
             bound = cat.entries[-1].value + 1 if cat.entries else 10**3
         cps = default_checkpoints(bound)
-    validate_checkpoints(cat, cps)
     counts, by_d = count_table(cat, cps)
     decades = _decade_counts(counts)
     k_values = {x: k_of(x, c) for x, c in counts.items() if c > 0 and x >= 10**3}
-    ratios = growth_ratios(decades) if len(decades) > 1 else {}
-    exponents = power_exponents(decades) if decades else {}
+    ratios = growth_ratios(decades)
+    exponents = power_exponents(decades)
     residues = {m: residue_table(cat, m, cps) for m in moduli}
     primes = [p for p in prime_sieve(prime_cap) if p > 2]
     div_counts, least_counts = prime_tables(cat, primes, cps)
@@ -295,121 +287,66 @@ def build_report(
 # Emission: one CSV per table plus an aligned-text mirror.
 
 
-def _fmt(value: float, places: int) -> str:
-    return f"{value:.{places}f}"
+def _tables(report: StatsReport):
+    """(table name, file stem, header, rows) for every table.
+
+    The rows are generators, so a table that is not written costs
+    nothing; each must be consumed before the next table is drawn.
+    """
+    cps = report.checkpoints
+    yield "counts", "counts", ["checkpoint", "count"], (
+        [x, report.counts[x]] for x in cps
+    )
+    all_d = sorted({d for d, _ in report.counts_by_d})
+    header = ["checkpoint", *[f"d{d}" for d in all_d], "total"]
+    yield "counts-by-d", "counts_by_d", header, (
+        [x, *[report.counts_by_d.get((d, x), 0) for d in all_d], report.counts[x]]
+        for x in cps
+    )
+    yield "k", "k_values", ["checkpoint", "k"], (
+        [x, f"{report.k_values[x]:.5f}"] for x in cps if x in report.k_values
+    )
+    yield "ratios", "growth_ratios", ["n", "ratio"], (
+        [n, f"{v:.3f}"] for n, v in sorted(report.ratios.items())
+    )
+    yield "exponents", "power_exponents", ["n", "exponent"], (
+        [n, f"{v:.5f}"] for n, v in sorted(report.exponents.items())
+    )
+    for m in report.moduli:
+        table = report.residues[m]
+        yield "residues", f"residues_mod{m}", ["class", *cps], (
+            [cls, *[table[(cls, x)] for x in cps]] for cls in range(m)
+        )
+    for name, stem, table in (
+        ("prime-divisors", "prime_divisor_counts", report.prime_divisor_counts),
+        ("least-primes", "least_prime_counts", report.least_prime_counts),
+    ):
+        yield name, stem, ["p", *cps], (
+            [p, *[table[(p, x)] for x in cps]] for p in report.primes
+        )
+    if report.records is not None:
+        yield "records", "records", ["record", "prime", "value", "factors"], (
+            [label, p, e.value, ".".join(map(str, e.factors))]
+            for label in ("largest_prime_factor", "largest_least_prime_factor")
+            for p, e in [getattr(report.records, label)]
+        )
 
 
 def write_report(report: StatsReport, out_dir: str | Path) -> list[Path]:
-    """Write each requested table as <name>.csv and <name>.txt."""
+    """Write each requested table as <stem>.csv and an aligned <stem>.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def emit(name: str, header: list[str], rows: list[list[str]]) -> None:
-        csv_path = out / f"{name}.csv"
+    for name, stem, header, rows in _tables(report):
+        if name not in report.tables:
+            continue
+        lines = [list(map(str, r)) for r in chain([header], rows)]
+        csv_path, txt_path = out / f"{stem}.csv", out / f"{stem}.txt"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        txt_path = out / f"{name}.txt"
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
+            csv.writer(fh).writerows(lines)
+        widths = [max(map(len, col)) for col in zip(*lines)]
         with open(txt_path, "w", encoding="utf-8") as fh:
-            fh.write(
-                "  ".join(h.rjust(w) for h, w in zip(header, widths)).rstrip()
-                + "\n"
-            )
-            for r in rows:
-                fh.write(
-                    "  ".join(v.rjust(w) for v, w in zip(r, widths)).rstrip()
-                    + "\n"
-                )
-        written.extend([csv_path, txt_path])
-
-    cps = report.checkpoints
-    names = set(report.tables)
-
-    if "counts" in names:
-        emit(
-            "counts",
-            ["checkpoint", "count"],
-            [[str(x), str(report.counts[x])] for x in cps],
-        )
-    if "counts-by-d" in names:
-        all_d = sorted({d for d, _ in report.counts_by_d})
-        header = ["checkpoint", *[f"d{d}" for d in all_d], "total"]
-        rows = []
-        for x in cps:
-            row = [str(x)]
-            row += [str(report.counts_by_d.get((d, x), 0)) for d in all_d]
-            row.append(str(report.counts[x]))
-            rows.append(row)
-        emit("counts_by_d", header, rows)
-    if "k" in names:
-        emit(
-            "k_values",
-            ["checkpoint", "k"],
-            [
-                [str(x), _fmt(report.k_values[x], 5)]
-                for x in cps
-                if x in report.k_values
-            ],
-        )
-    if "ratios" in names:
-        emit(
-            "growth_ratios",
-            ["n", "ratio"],
-            [[str(n), _fmt(v, 3)] for n, v in sorted(report.ratios.items())],
-        )
-    if "exponents" in names:
-        emit(
-            "power_exponents",
-            ["n", "exponent"],
-            [[str(n), _fmt(v, 5)] for n, v in sorted(report.exponents.items())],
-        )
-    if "residues" in names:
-        for m in report.moduli:
-            table = report.residues[m]
-            header = ["class", *[str(x) for x in cps]]
-            rows = [
-                [str(cls), *[str(table[(cls, x)]) for x in cps]]
-                for cls in range(m)
-            ]
-            emit(f"residues_mod{m}", header, rows)
-    if "prime-divisors" in names:
-        header = ["p", *[str(x) for x in cps]]
-        rows = [
-            [str(p), *[str(report.prime_divisor_counts[(p, x)]) for x in cps]]
-            for p in report.primes
-        ]
-        emit("prime_divisor_counts", header, rows)
-    if "least-primes" in names:
-        header = ["p", *[str(x) for x in cps]]
-        rows = [
-            [str(p), *[str(report.least_prime_counts[(p, x)]) for x in cps]]
-            for p in report.primes
-        ]
-        emit("least_prime_counts", header, rows)
-    if "records" in names and report.records is not None:
-        rec = report.records
-        emit(
-            "records",
-            ["record", "prime", "value", "factors"],
-            [
-                [
-                    "largest_prime_factor",
-                    str(rec.largest_prime_factor[0]),
-                    str(rec.largest_prime_factor[1].value),
-                    ".".join(map(str, rec.largest_prime_factor[1].factors)),
-                ],
-                [
-                    "largest_least_prime_factor",
-                    str(rec.largest_least_prime_factor[0]),
-                    str(rec.largest_least_prime_factor[1].value),
-                    ".".join(map(str, rec.largest_least_prime_factor[1].factors)),
-                ],
-            ],
-        )
+            for r in lines:
+                fh.write("  ".join(v.rjust(w) for v, w in zip(r, widths)).rstrip() + "\n")
+        written += [csv_path, txt_path]
     return written

@@ -85,6 +85,32 @@ def test_verify_names_the_line_of_a_file_that_is_not_a_number(tmp_path,
         f"carmichael verify: {path}:2: not a number: 'abc'\n")
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "inf"],
+    ["verify", "--", "-inf"],
+    ["verify", "sNaN"],
+    ["verify", "1e1000000"],
+    ["verify", "1e10000000"],
+    ["enumerate", "--limit", "inf", "--out", "x"],
+    ["stats", "--input", "x", "--out-dir", "t", "--checkpoints", "1e3,inf"],
+    ["stats", "--input", "x", "--out-dir", "t", "--mod", "inf"],
+])
+def test_non_finite_and_huge_numbers_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a finite number" in err or " digits: " in err
+
+
+def test_verify_file_rejects_infinity(tmp_path, capsys):
+    path = tmp_path / "nums.txt"
+    path.write_text("561\ninf\n")
+    assert main(["verify", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"carmichael verify: {path}:2: not a finite number: 'inf'\n")
+
+
 def test_usage_error_exit_code():
     code, _, err = run_cli("enumerate", "--limit", "notanumber", "--out", "x")
     assert code == 2
@@ -219,6 +245,19 @@ def test_stats_below_the_first_default_checkpoint(tmp_path, capsys):
     assert "no checkpoints" in capsys.readouterr().err
     assert main(args + ["--checkpoints", "700"]) == 0
     assert (tmp_path / "t" / "counts.csv").read_text() == "checkpoint,count\n700,1\n"
+
+
+def test_stats_takes_decade_checkpoints_that_are_not_consecutive(tmp_path, capsys):
+    cat_path, out_dir = tmp_path / "cat.txt", tmp_path / "t"
+    main(["oracle", "--limit", "1e5", "--out", str(cat_path)])
+    capsys.readouterr()
+    args = ["stats", "--input", str(cat_path), "--out-dir", str(out_dir),
+            "--checkpoints", "1e3,1e5"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert (out_dir / "growth_ratios.csv").read_text() == "n,ratio\n"
+    assert (out_dir / "power_exponents.csv").read_text() == (
+        "n,exponent\n3,0.00000\n5,0.24082\n")
 
 
 def test_stats_rejects_a_truncated_catalog(tmp_path, capsys):
