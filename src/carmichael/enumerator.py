@@ -123,12 +123,17 @@ is exact: c < L < P < limit; every w walked, and so j * L and q, is at
 most R < 2**23; and P * w <= P * R < limit <= 2**62.
 
 Work is partitioned into subtree tasks seeded by the first one or two
-prefix primes; results are merged, sorted and checked for duplicates, so
-output is identical for any worker count and any flush boundaries.
+prefix primes, and the tasks are cut into batches (`_chunk`), each run by
+`_worker_run` under one leaf batch.  Every worker count runs the same
+batches; the worker count only chooses where they run, in this process
+or on a fork pool.  Results are merged, sorted and checked for
+duplicates, so output is identical for any worker count and any flush
+boundaries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -520,12 +525,11 @@ class _LeafBatch:
         keep = np.flatnonzero(keep)
         owner, p, carry = owner[keep], p[keep], carry[keep]
         carry = carry // np.gcd(carry, p - 1) * (p - 1)  # L2 = lcm(L, p - 1)
-        # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P.
+        # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P;
+        # p <= isqrt(R) (the descent's bound), so rmax >= p.
         reach = np.array([(self.limit - 1) // P for P in products],
                          dtype=np.int64)
         rmax = reach[owner] // p
-        keep = np.flatnonzero(rmax > p)
-        owner, p, carry, rmax = owner[keep], p[keep], carry[keep], rmax[keep]
         narrow = self.limit <= _BATCH_LIMIT
         if narrow:
             product = np.array(products, dtype=np.int64)[owner] * p
@@ -612,8 +616,6 @@ def _descend(
 # ---------------------------------------------------------------------------
 # Task partitioning and the public entry point.
 
-_WORKER_STATE: dict = {}
-
 
 def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
     """Subtree roots: (d, p1) for d = 3, (d, p1, p2) for deeper targets.
@@ -659,14 +661,17 @@ def _run_task_impl(
     return out
 
 
-def _run_tasks(
-    tasks: list[tuple], limit: int, tables: _Tables, progress=None
-) -> list:
-    """Run tasks in order, batching the leaf layer across all of them.
+def _worker_run(job: tuple) -> tuple[int, list]:
+    """Run one batch of tasks; return its task count and its emissions.
 
-    A task that raises is named in a `RuntimeError` chained from the
-    original; its flush may have been closing earlier tasks' leaves.
+    job = (limit, d_min, tasks).  The leaf layer is batched across the
+    batch's tasks and flushed at its end.  A task that raises is named in
+    a `RuntimeError` chained from the original; its flush may have been
+    closing earlier tasks' leaves.
     """
+    limit, d_min, tasks = job
+    # Cached, and built before a fork pool starts, so workers inherit it.
+    tables = _Tables.for_limit(limit, d_min)
     leaves = _LeafBatch(limit, tables)
     out: list = []
     for i, task in enumerate(tasks):
@@ -676,19 +681,7 @@ def _run_tasks(
             )
         except Exception as exc:
             raise RuntimeError(f"search task {task} failed: {exc}") from exc
-        if progress is not None:
-            progress(i + 1, len(tasks))
-    return out
-
-
-def _worker_init(limit: int, d_min: int) -> None:
-    _WORKER_STATE["tables"] = _Tables.for_limit(limit, d_min)
-    _WORKER_STATE["limit"] = limit
-
-
-def _worker_run(batch: list[tuple]) -> list:
-    state = _WORKER_STATE
-    return _run_tasks(batch, state["limit"], state["tables"])
+    return len(tasks), out
 
 
 def enumerate_carmichael(
@@ -696,30 +689,30 @@ def enumerate_carmichael(
 ) -> Catalog:
     """The complete ascending catalog of Carmichael numbers < limit.
 
-    Output is independent of the worker count, which only steers how the
-    same search space is covered.
+    Every worker count runs the same batches of tasks; the worker count
+    only chooses where they run: in this process for one worker (or a
+    single batch), on a fork pool otherwise.  `progress(done, total)`
+    counts finished tasks after each batch.  Output is independent of the
+    worker count.
     """
     config.validate()
     tables = _Tables.for_limit(config.limit, config.d_min)
     tasks = _seed_tasks(config, tables)
+    jobs = [(config.limit, config.d_min, batch)
+            for batch in _chunk(tasks, config.worker_count)]
     raw: list = []
-
-    if config.worker_count == 1 or len(tasks) < 2:
-        raw = _run_tasks(tasks, config.limit, tables, progress)
-    else:
-        batches = _chunk(tasks, config.worker_count)
-        ctx = get_context("fork")
-        with ctx.Pool(
-            processes=config.worker_count,
-            initializer=_worker_init,
-            initargs=(config.limit, config.d_min),
-        ) as pool:
-            done = 0
-            for part in pool.imap_unordered(_worker_run, batches):
-                raw.extend(part)
-                done += 1
-                if progress is not None:
-                    progress(done, len(batches))
+    done = 0
+    with contextlib.ExitStack() as stack:
+        results = map(_worker_run, jobs)
+        if config.worker_count > 1 and len(jobs) > 1:
+            pool = stack.enter_context(
+                get_context("fork").Pool(processes=config.worker_count))
+            results = pool.imap_unordered(_worker_run, jobs)
+        for count, part in results:
+            raw.extend(part)
+            done += count
+            if progress is not None:
+                progress(done, len(tasks))
 
     raw.sort()
     entries = []

@@ -36,10 +36,6 @@ __all__ = [
     "factorize",
 ]
 
-# Segment size for the sieve (odd numbers per block); keeps peak memory
-# around tens of MiB no matter how large the limit is.
-_SEGMENT_SPAN = 1 << 25
-
 # Deterministic Miller-Rabin base ladder: (bound, bases) means the bases
 # are proven sufficient for every n < bound.
 _MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
@@ -59,57 +55,39 @@ _MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
 _BPSW_FLOOR = 1 << 64
 
 
-def _simple_sieve_array(limit: int) -> np.ndarray:
-    """Boolean primality table for 0..limit inclusive."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
+def _odd_sieve(limit: int, dtype) -> np.ndarray:
+    """Entry i, for i <= limit // 2, is the smallest prime factor of 2*i + 1.
+
+    0 marks a prime (or 1).  The odd primes up to isqrt(limit) are stored
+    with strided numpy writes, largest prime first, so the smallest factor
+    wins; entries are exact for numbers up to limit.  With dtype bool an
+    entry only says whether 2*i + 1 is composite.
+    """
+    sieve = np.zeros(limit // 2 + 1, dtype=dtype)
+    for p in reversed(prime_sieve(math.isqrt(limit))[1:]):
+        sieve[p * p // 2 :: p] = p
+    return sieve
 
 
 def prime_sieve(limit: int) -> list[int]:
-    """All primes <= limit, ascending.  Segmented above _SEGMENT_SPAN."""
+    """All primes <= limit, ascending, from one odd-only sieve."""
     if limit < 2:
         return []
-    if limit <= _SEGMENT_SPAN:
-        return np.flatnonzero(_simple_sieve_array(limit)).tolist()
-
-    base = prime_sieve(math.isqrt(limit))
-    odd_base = np.array([p for p in base if p > 2], dtype=np.int64)
-    primes: list[int] = [2]
-    # Sieve odd numbers only, one block at a time.
-    for low in range(3, limit + 1, 2 * _SEGMENT_SPAN):
-        high = min(low + 2 * _SEGMENT_SPAN, limit + 1)
-        count = (high - low + 1) // 2
-        mask = np.ones(count, dtype=bool)
-        for p in odd_base:
-            p = int(p)
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start >= high:
-                continue
-            if start % 2 == 0:
-                start += p
-            mask[(start - low) // 2 :: p] = False
-        primes.extend((low + 2 * np.flatnonzero(mask)).tolist())
-    return primes
+    prime = _odd_sieve(limit, bool)[: (limit + 1) // 2]
+    np.logical_not(prime, out=prime)  # in place: entry 0, for 1, is True
+    values = np.flatnonzero(prime) * 2 + 1
+    del prime  # before the list, which is about 5 times larger
+    values[0] = 2  # in place of 1
+    return values.tolist()
 
 
 def smallest_factor_table(limit: int) -> array:
-    """Smallest-prime-factor table for odd numbers.
+    """Smallest-prime-factor table for odd numbers, limit // 2 + 1 entries.
 
     Entry i describes the odd number 2*i + 1; the value is its smallest
-    prime factor, or 0 when 2*i + 1 is prime (or 1).  Built with strided
-    numpy writes, largest prime first, so the smallest factor wins.
+    prime factor, or 0 when 2*i + 1 is prime (or 1).
     """
-    size = limit // 2 + 1
-    spf = np.zeros(size, dtype=np.int32)
-    for p in reversed(prime_sieve(math.isqrt(limit))[1:]):
-        spf[(p * p) // 2 :: p] = p
-    out = array("i")
-    out.frombytes(spf.tobytes())
-    return out
+    return array("i", _odd_sieve(limit, np.int32).tobytes())
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:

@@ -262,9 +262,14 @@ def build_report(
     k_values = {x: k_of(x, c) for x, c in counts.items() if c > 0 and x >= 10**3}
     ratios = growth_ratios(decades)
     exponents = power_exponents(decades)
-    residues = {m: residue_table(cat, m, cps) for m in moduli}
-    primes = [p for p in prime_sieve(prime_cap) if p > 2]
-    div_counts, least_counts = prime_tables(cat, primes, cps)
+    # Only the tables asked for are built: a residue table has m rows and
+    # a prime table one row per prime up to prime_cap.
+    residues = ({m: residue_table(cat, m, cps) for m in moduli}
+                if "residues" in tables else {})
+    primes, div_counts, least_counts = [], {}, {}
+    if {"prime-divisors", "least-primes"} & set(tables):
+        primes = [p for p in prime_sieve(prime_cap) if p > 2]
+        div_counts, least_counts = prime_tables(cat, primes, cps)
     records = scan_records(cat) if cat.entries else None
     return StatsReport(
         checkpoints=list(cps),
@@ -312,8 +317,7 @@ def _tables(report: StatsReport):
     yield "exponents", "power_exponents", ["n", "exponent"], (
         [n, f"{v:.5f}"] for n, v in sorted(report.exponents.items())
     )
-    for m in report.moduli:
-        table = report.residues[m]
+    for m, table in report.residues.items():
         yield "residues", f"residues_mod{m}", ["class", *cps], (
             [cls, *[table[(cls, x)] for x in cps]] for cls in range(m)
         )

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from carmichael import cli
+from carmichael import cli, stats
 from carmichael.catalog import merge, read_catalog, write_catalog
 from carmichael.cli import exact_int, main
 
@@ -202,6 +202,35 @@ def test_stats_table_subset(tmp_path, capsys):
     capsys.readouterr()
     names = {p.name for p in out_dir.iterdir()}
     assert names == {"counts.csv", "counts.txt", "records.csv", "records.txt"}
+
+
+@pytest.mark.parametrize("tables, built", [
+    ("counts", set()),
+    ("counts,residues", {"residue_table"}),
+    ("prime-divisors", {"prime_sieve"}),
+    ("least-primes,records", {"prime_sieve"}),
+])
+def test_stats_builds_only_the_tables_asked_for(tmp_path, capsys, monkeypatch,
+                                                tables, built):
+    cat_path = tmp_path / "cat.txt"
+    main(["enumerate", "--limit", "1e4", "--out", str(cat_path)])
+    called = set()
+    for name in ("residue_table", "prime_sieve"):
+        real = getattr(stats, name)
+
+        def spy(*args, name=name, real=real):
+            called.add(name)
+            assert name in built, f"{name} ran for --tables {tables}"
+            return real(*args)
+
+        monkeypatch.setattr(stats, name, spy)
+    args = ["stats", "--input", str(cat_path), "--out-dir", str(tmp_path / "t"),
+            "--tables", tables, "--checkpoints", "1e3,1e4"]
+    if not built:
+        # Far too large to build; a spy fails first if either is used.
+        args += ["--mod", "1000000000", "--primes-up-to", "100000000000"]
+    assert main(args) == 0
+    assert called == built
 
 
 def test_stats_unknown_table_usage_error(tmp_path, capsys):

@@ -114,6 +114,20 @@ def test_a_crashing_search_task_names_itself(monkeypatch, workers):
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_counts_finished_tasks(workers):
+    config = EnumerationConfig(10**7, worker_count=workers)
+    tasks = _seed_tasks(config, _Tables.for_limit(config.limit))
+    calls = []
+    enumerate_carmichael(config, progress=lambda *call: calls.append(call))
+    # One call per batch, so more than one, each with the task total.
+    assert len(calls) > 1
+    assert all(total == len(tasks) for _, total in calls)
+    done = [d for d, _ in calls]
+    assert done == sorted(set(done))
+    assert calls[-1] == (len(tasks), len(tasks))
+
+
 def test_enumerate_small_limits():
     cat = enumerate_carmichael(EnumerationConfig(10**4, d_min=3, d_max=3))
     assert len(cat) == 7

@@ -20,9 +20,11 @@ def test_smallest_with_factors_small_d(d):
     assert len(entry.factors) == d
 
 
-def test_smallest_with_13_factors_lies_above_2_64():
-    # Found by the batched leaf layer above 2**62 (bounds near 2**71).
-    entry = smallest_with_factors(13)
+@pytest.mark.parametrize("worker_count", [1, 2])
+def test_smallest_with_13_factors_lies_above_2_64(worker_count):
+    # Found by the batched leaf layer above 2**62 (bounds near 2**71); on
+    # two workers every doubled bound forks a pool with d_min = 13 tables.
+    entry = smallest_with_factors(13, worker_count=worker_count)
     assert entry.value == 1791562810662585767521
     assert entry.factors == (11, 13, 17, 19, 31, 37, 43, 71, 73, 97, 109, 113, 127)
 

@@ -41,17 +41,14 @@ def test_sieve_count_at_one_million():
     assert len(prime_sieve(10**6)) == 78498
 
 
-def test_segmented_sieve_agrees_with_simple():
-    import carmichael.primes as primes_mod
-
-    limit = 10**6
-    simple = prime_sieve(limit)
-    old = primes_mod._SEGMENT_SPAN
-    primes_mod._SEGMENT_SPAN = 1 << 14
-    try:
-        assert prime_sieve(limit) == simple
-    finally:
-        primes_mod._SEGMENT_SPAN = old
+def test_sieve_agrees_with_trial_division_at_every_end():
+    # Every end from 0 to 2000, so both parities of the last odd entry
+    # are covered.
+    primes = [n for n in range(2, 2001)
+              if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for n in range(2001):
+        assert prime_sieve(n) == [p for p in primes if p <= n], n
+        assert len(smallest_factor_table(n)) == n // 2 + 1, n
 
 
 def test_smallest_factor_table_values():
