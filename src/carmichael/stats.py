@@ -50,6 +50,9 @@ __all__ = [
 
 DEFAULT_PRIME_CAP = 97
 DEFAULT_MODULI = (5, 7, 11, 12)
+# A residue table has a cell for every class at every checkpoint, however
+# few entries the catalog holds; larger tables are refused.
+RESIDUE_CELLS = 1 << 20
 TABLE_NAMES = (
     "counts",
     "counts-by-d",
@@ -176,6 +179,11 @@ def residue_table(
     """Counts of entries < X in each residue class modulo m."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if modulus * len(cps) > RESIDUE_CELLS:
+        raise ValueError(
+            f"a residue table modulo {modulus} at {len(cps)} checkpoints has"
+            f" {modulus * len(cps)} cells, above the bound of {RESIDUE_CELLS}"
+        )
     tally = _tally(cat, cps, lambda s: (e.value % modulus for e in s))
     return {(cls, x): c.get(cls, 0) for x, c in tally.items() for cls in range(modulus)}
 

@@ -233,6 +233,26 @@ def test_stats_builds_only_the_tables_asked_for(tmp_path, capsys, monkeypatch,
     assert called == built
 
 
+def test_stats_refuses_a_residue_table_above_its_bound(tmp_path, capsys,
+                                                      monkeypatch):
+    cat_path = tmp_path / "cat.txt"
+    main(["oracle", "--limit", "1e6", "--out", str(cat_path)])
+    capsys.readouterr()
+    cat, cps = read_catalog(cat_path), [10**3, 10**4, 10**5, 10**6]
+    # 400000 classes at the 4 default checkpoints: 1600000 cells > 2**20.
+    args = ["stats", "--input", str(cat_path), "--out-dir", str(tmp_path / "t"),
+            "--tables", "residues", "--mod", "400000"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "modulo 400000" in err and str(stats.RESIDUE_CELLS) in err
+    assert not (tmp_path / "t").exists()
+    # The bound is inclusive.
+    monkeypatch.setattr(stats, "RESIDUE_CELLS", 40)
+    assert sum(stats.residue_table(cat, 10, cps).values()) == 1 + 7 + 16 + 43
+    with pytest.raises(ValueError, match="modulo 11 at 4 checkpoints has 44"):
+        stats.residue_table(cat, 11, cps)
+
+
 def test_stats_unknown_table_usage_error(tmp_path, capsys):
     cat_path = tmp_path / "cat.txt"
     main(["enumerate", "--limit", "1e4", "--out", str(cat_path)])

@@ -1,12 +1,16 @@
 import math
+import random
+from bisect import bisect_right
 
 import pytest
 
 from carmichael import enumerator
+from carmichael.arith import iroot
 from carmichael.enumerator import (
     EnumerationConfig,
     _complete_final,
     _descend,
+    _child_range,
     _LeafBatch,
     _seed_tasks,
     _Tables,
@@ -52,8 +56,9 @@ def test_max_factor_count_rejects_small_limit():
 
 def test_seed_tasks_cover_every_prefix():
     tables = _Tables.for_limit(10**3)
-    assert _seed_tasks(EnumerationConfig(10**3), tables) == [
-        (3, 3), (3, 5), (3, 7)]  # p1 <= iroot(999, 3) = 9
+    # p1 <= iroot(999, 3) = 9, and p1 * p2 * p3 >= 7 * 11 * 13 = 1001
+    # excludes p1 = 7.
+    assert _seed_tasks(EnumerationConfig(10**3), tables) == [(3, 3), (3, 5)]
     limit = 10**6
     tasks = set(_seed_tasks(EnumerationConfig(limit), _Tables.for_limit(limit)))
     entries = oracle_enumerate(limit)
@@ -61,6 +66,58 @@ def test_seed_tasks_cover_every_prefix():
     for e in entries:
         d = len(e.factors)
         assert (d, *e.factors[:1 if d == 3 else 2]) in tasks
+
+
+def brute_child_range(primes, d, limit, sieve):
+    """Children p > primes[-1] with p**m <= R and, for m >= 3, the m
+    consecutive primes from p (a window past the sieve's end fits) with
+    product at most R = (limit - 1) // P."""
+    reach, m = (limit - 1) // math.prod(primes), d - len(primes)
+    lo = next(i for i, p in enumerate(sieve) if p > max(primes, default=2))
+    hi = lo
+    for i in range(lo, len(sieve)):
+        window = sieve[i : i + m]
+        if sieve[i] ** m > reach or (
+                m >= 3 and len(window) == m and math.prod(window) > reach):
+            break
+        hi = i + 1
+    return lo, hi
+
+
+@pytest.mark.parametrize("limit", [10**4, 10**12, 2**64, 2**90])
+def test_child_range_against_brute_force(limit):
+    rng = random.Random(limit)
+    # Primes to 2**13 and to 2**10, whose ends the windows run past.
+    for tables in (_Tables.for_limit(10**8), _Tables.for_limit(10**6)):
+        sieve = tables.sieve
+        cuts = []
+        for _ in range(300):
+            d = rng.randint(3, max(3, min(20, limit.bit_length() // 4)))
+            k = rng.randint(0, d - 2)
+            idx = sorted(rng.sample(range(1, min(len(sieve), 60)), k))
+            primes = tuple(sieve[i] for i in idx)
+            product = math.prod(primes)
+            if product >= limit:
+                continue
+            lo, hi = _child_range(primes, product, d, limit, sieve)
+            # hi < lo when primes[-1] already exceeds the bound.
+            assert sieve[lo:hi] == sieve[slice(
+                *brute_child_range(primes, d, limit, sieve))]
+            root = bisect_right(sieve, iroot((limit - 1) // product, d - k))
+            cuts.append(root - max(lo, hi) if d - k >= 3 else 0)
+        # The window bound cuts below the root bound in many cases.
+        assert sum(c > 0 for c in cuts) >= 10
+
+
+def test_child_range_is_tighter_than_the_root_bound():
+    # 3 * 5 * 7 * 11 * 13 = 15015: iroot(15015, 5) = 6 would admit p1 = 5,
+    # but 5 * 7 * 11 * 13 * 17 = 85085 > 15015.
+    sieve = _Tables.for_limit(10**6).sieve
+    assert _child_range((), 1, 5, 15016, sieve) == (1, 2)
+    assert _child_range((), 1, 5, 15015, sieve) == (1, 1)
+    # m = 2 keeps p <= isqrt(R): 11 * 13 = 143 > 130, yet 11**2 <= 130.
+    assert [sieve[i] for i in range(*_child_range((3,), 3, 3, 391, sieve))] == [
+        5, 7, 11]
 
 
 def test_complete_final_completing_561():

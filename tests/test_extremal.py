@@ -20,6 +20,24 @@ def test_smallest_with_factors_small_d(d):
     assert len(entry.factors) == d
 
 
+# Found through the interior descent's consecutive-prime bound and the
+# leaf batch's empty-class cut; 12 is the last below 2**64.
+SMALLEST_VALUE = {
+    8: 232250619601,
+    9: 9746347772161,
+    10: 1436697831295441,
+    11: 60977817398996785,
+    12: 7156857700403137441,
+}
+
+
+@pytest.mark.parametrize("d", sorted(SMALLEST_VALUE))
+def test_smallest_with_8_to_12_factors(d):
+    entry = smallest_with_factors(d)
+    assert entry.value == SMALLEST_VALUE[d]
+    assert len(entry.factors) == d
+
+
 @pytest.mark.parametrize("worker_count", [1, 2])
 def test_smallest_with_13_factors_lies_above_2_64(worker_count):
     # Found by the batched leaf layer above 2**62 (bounds near 2**71); on

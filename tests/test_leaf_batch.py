@@ -91,10 +91,12 @@ def batched_leaves(parents, limit, tables):
     return sorted(out)
 
 
-def every_leaf_parent(limit, tables):
-    """The leaf parents `_descend` queues in a whole search below limit."""
+def every_leaf_parent(limit, tables, d=None):
+    """The leaf parents `_descend` queues in a whole search below limit,
+    for every factor count or for d alone."""
     recorder = _Recorder(limit, tables)
-    for d, *primes in _seed_tasks(EnumerationConfig(limit), tables):
+    config = EnumerationConfig(limit, d_min=d or 3, d_max=d)
+    for d, *primes in _seed_tasks(config, tables):
         primes = tuple(primes)
         _descend(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
                  d, limit, tables, [], recorder)
@@ -111,6 +113,34 @@ def test_every_leaf_parent_below_1e9(monkeypatch):
     assert batched == scalar_leaves(parents, limit, tables)
     assert len(batched) == 646  # C(10**9): every entry closes one parent
     assert routes.classes and routes.slices  # the engine's ratio takes both
+
+
+@pytest.mark.parametrize("limit, d", [(10**9, None), (2**64, 12)])
+def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
+    routes = RouteSpy(monkeypatch)
+    tables = _Tables.for_limit(limit, d or 3)
+    parents = every_leaf_parent(limit, tables, d)
+    empty = []
+    for primes, product, carry, lo, hi in parents:
+        batch = _LeafBatch(limit, tables)
+        batch.add(primes, product, carry, lo, hi, [])
+        # The first w = p * q = P^-1 (mod L) above pmin**2, against R.
+        floor, c = tables.sieve[lo] ** 2, pow(product, -1, carry)
+        w = floor + 1 + (c - floor - 1) % carry
+        if w > (limit - 1) // product:
+            assert batch.pending == batch.class_pending == 0
+            empty.append((primes, product, carry, lo, hi))
+        else:
+            assert batch.pending + batch.class_pending > 0
+    # Exact: the parents the cut closes have no completion.
+    assert 0 < len(empty) < len(parents)
+    assert scalar_leaves(empty, limit, tables) == []
+    assert not routes.slices and not routes.classes
+    # The others still close every completion, at 2**64 by the slice route.
+    batched = batched_leaves(parents, limit, tables)
+    assert batched == scalar_leaves(parents, limit, tables)
+    assert len(batched) == (646 if d is None else 5)
+    assert sum(hi - lo for *_, lo, hi in routes.slices) > 0
 
 
 def chernick_parents(limit, tables, count, factors=3):
@@ -395,6 +425,7 @@ def gated(parents, batch):
 @pytest.mark.parametrize("limit, factors", [(2**64, 3), (2**80, 3), (2**96, 4)])
 def test_random_leaf_parents_above_2_62(monkeypatch, limit, factors):
     monkeypatch.setattr(enumerator, "_FLUSH", 2048)
+    routes = RouteSpy(monkeypatch)
     tables = _Tables.for_limit(10**12)
     batch = _LeafBatch(limit, tables)
     assert batch.carry_cap == 2**62 // tables.sieve_top
@@ -407,6 +438,8 @@ def test_random_leaf_parents_above_2_62(monkeypatch, limit, factors):
     batched = batched_leaves(parents, limit, tables)
     assert batched == scalar_leaves(parents, limit, tables)
     assert set(expected) <= set(batched)
+    # Lanes still reach the slice route: the empty-class cut leaves some.
+    assert sum(hi - lo for *_, lo, hi in routes.slices) > 0
 
 
 def cap_carry(monkeypatch, cap):
@@ -428,9 +461,11 @@ def test_limits_above_2_62_flush_the_batch(monkeypatch):
         flush(self, out)
 
     monkeypatch.setattr(_LeafBatch, "flush", spy)
+    routes = RouteSpy(monkeypatch)
     config = EnumerationConfig(2**64, d_min=12, d_max=12)
     batched = enumerate_carmichael(config).entries
     assert len(batched) == 5 and sum(flushed) > 0
+    assert sum(hi - lo for *_, lo, hi in routes.slices) > 0
     flushed.clear()
     cap_carry(monkeypatch, 0)  # no parent qualifies: every leaf is scalar
     assert enumerate_carmichael(config).entries == batched
