@@ -2,9 +2,10 @@
 
 Subcommands: enumerate, smallest, verify, stats, oracle.  All results go
 to stdout in machine-parseable form; diagnostics and progress go to
-stderr.  Exit status: 0 success, 1 verification failure or runtime error,
-2 usage error.  Reruns with identical inputs produce byte-identical
-outputs regardless of --jobs.
+stderr.  Exit status: 0 success, 1 verification failure (a number that
+is not Carmichael, or one left unresolved because rho's step budget ran
+out) or runtime error, 2 usage error.  Reruns with identical inputs
+produce byte-identical outputs regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .enumerator import (
 )
 from .extremal import DETERMINISTIC_PRIMALITY_MAX_D, smallest_with_factors
 from .korselt import CarmichaelEntry, korselt_failure, oracle_enumerate
-from .primes import factorize
+from .primes import FactoringBudgetExceeded, factorize
 from .stats import (
     DEFAULT_MODULI,
     DEFAULT_PRIME_CAP,
@@ -178,7 +179,12 @@ def _cmd_verify(args) -> int:
             print(f"{n} not-carmichael (Fermat witness 2)")
             all_ok = False
             continue
-        f = factorize(n)
+        try:
+            f = factorize(n)
+        except FactoringBudgetExceeded as exc:
+            print(f"{n} unresolved ({exc})")
+            all_ok = False
+            continue
         reason = korselt_failure(n, f)
         if reason is None:
             print(f"{n} carmichael")

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from carmichael import cli, stats
+from carmichael import cli, primes, stats
 from carmichael.catalog import merge, read_catalog, write_catalog
 from carmichael.cli import exact_int, main
 
@@ -64,6 +64,20 @@ def test_verify_rejects_even_numbers_without_factoring(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         f"562 not-carmichael (even)\n{n} not-carmichael (even)\n"
     )
+
+
+def test_verify_reports_a_number_rho_cannot_split_within_its_budget(
+        monkeypatch, capsys):
+    # A Chernick number (6k + 1)(12k + 1)(18k + 1), k = 1000051: it passes
+    # base 2 and its least factor is far above trial division's.
+    n = 6000307 * 12000613 * 18000919
+    assert main(["verify", str(n)]) == 0
+    assert capsys.readouterr().out == f"{n} carmichael\n"
+    monkeypatch.setattr(primes, "_RHO_STEPS", 64)
+    assert main(["verify", "561", str(n)]) == 1
+    assert capsys.readouterr().out == (
+        f"561 carmichael\n"
+        f"{n} unresolved (no factor of {n} within 64 rho steps)\n")
 
 
 def test_verify_from_file(tmp_path, capsys):

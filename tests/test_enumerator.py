@@ -9,14 +9,15 @@ from carmichael.arith import iroot
 from carmichael.enumerator import (
     EnumerationConfig,
     _complete_final,
-    _descend,
     _child_range,
+    _run_task_impl,
     _LeafBatch,
     _seed_tasks,
     _Tables,
     enumerate_carmichael,
     max_factor_count,
 )
+from carmichael.extremal import smallest_with_factors
 from carmichael.korselt import fermat_scan, oracle_enumerate
 
 
@@ -84,40 +85,74 @@ def brute_child_range(primes, d, limit, sieve):
     return lo, hi
 
 
-@pytest.mark.parametrize("limit", [10**4, 10**12, 2**64, 2**90])
+BRUTE_LIMITS = [10**4, 10**12, 2**64, 2**90]
+
+
+def random_child_cuts(tables, limit, rng, cases):
+    """`_child_range` against the brute force on random prefixes; for each,
+    how far the window bound cuts below the root bound."""
+    sieve = tables.sieve
+    cuts = []
+    for _ in range(cases):
+        d = rng.randint(3, max(3, min(20, limit.bit_length() // 4)))
+        k = rng.randint(0, d - 2)
+        idx = sorted(rng.sample(range(1, min(len(sieve), 60)), k))
+        primes = tuple(sieve[i] for i in idx)
+        product = math.prod(primes)
+        if product >= limit:
+            continue
+        lo, hi = _child_range(primes, product, d, limit, tables)
+        # hi < lo when primes[-1] already exceeds the bound.
+        assert sieve[lo:hi] == sieve[slice(
+            *brute_child_range(primes, d, limit, sieve))]
+        root = bisect_right(sieve, iroot((limit - 1) // product, d - k))
+        cuts.append(root - max(lo, hi) if d - k >= 3 else 0)
+    return cuts
+
+
+@pytest.mark.parametrize("limit", BRUTE_LIMITS)
 def test_child_range_against_brute_force(limit):
     rng = random.Random(limit)
-    # Primes to 2**13 and to 2**10, whose ends the windows run past.
-    for tables in (_Tables.for_limit(10**8), _Tables.for_limit(10**6)):
-        sieve = tables.sieve
-        cuts = []
-        for _ in range(300):
-            d = rng.randint(3, max(3, min(20, limit.bit_length() // 4)))
-            k = rng.randint(0, d - 2)
-            idx = sorted(rng.sample(range(1, min(len(sieve), 60)), k))
-            primes = tuple(sieve[i] for i in idx)
-            product = math.prod(primes)
-            if product >= limit:
-                continue
-            lo, hi = _child_range(primes, product, d, limit, sieve)
-            # hi < lo when primes[-1] already exceeds the bound.
-            assert sieve[lo:hi] == sieve[slice(
-                *brute_child_range(primes, d, limit, sieve))]
-            root = bisect_right(sieve, iroot((limit - 1) // product, d - k))
-            cuts.append(root - max(lo, hi) if d - k >= 3 else 0)
+    # Primes to 2**13 and to 2**10, whose ends the windows run past.  Each
+    # table is fresh, so its window lists are first grown for this limit;
+    # then the same table serves every limit ascending and descending, so
+    # lists grown for a smaller limit serve a larger one and the other way.
+    for top in (2**13, 2**10):
+        tables = enumerator._build_tables.__wrapped__(top, 4096)
+        cuts = random_child_cuts(tables, limit, rng, 300)
         # The window bound cuts below the root bound in many cases.
         assert sum(c > 0 for c in cuts) >= 10
+        for other in BRUTE_LIMITS + BRUTE_LIMITS[::-1]:
+            random_child_cuts(tables, other, rng, 40)
 
 
 def test_child_range_is_tighter_than_the_root_bound():
     # 3 * 5 * 7 * 11 * 13 = 15015: iroot(15015, 5) = 6 would admit p1 = 5,
     # but 5 * 7 * 11 * 13 * 17 = 85085 > 15015.
-    sieve = _Tables.for_limit(10**6).sieve
-    assert _child_range((), 1, 5, 15016, sieve) == (1, 2)
-    assert _child_range((), 1, 5, 15015, sieve) == (1, 1)
+    tables = _Tables.for_limit(10**6)
+    sieve = tables.sieve
+    assert _child_range((), 1, 5, 15016, tables) == (1, 2)
+    assert _child_range((), 1, 5, 15015, tables) == (1, 1)
     # m = 2 keeps p <= isqrt(R): 11 * 13 = 143 > 130, yet 11**2 <= 130.
-    assert [sieve[i] for i in range(*_child_range((3,), 3, 3, 391, sieve))] == [
+    assert [sieve[i] for i in range(*_child_range((3,), 3, 3, 391, tables))] == [
         5, 7, 11]
+
+
+def test_smallest_with_13_factors_visits_the_same_nodes(monkeypatch):
+    # Every `_descend` call over the bounds `smallest_with_factors(13)`
+    # doubles through, as in BENCH_smallest.json: how a node bounds its
+    # children may change, the nodes it visits may not.
+    nodes = 0
+    descend = enumerator._descend
+
+    def spy(*args):
+        nonlocal nodes
+        nodes += 1
+        descend(*args)
+
+    monkeypatch.setattr(enumerator, "_descend", spy)
+    assert smallest_with_factors(13).value == 1791562810662585767521
+    assert nodes == 180962
 
 
 def test_complete_final_completing_561():
@@ -144,9 +179,8 @@ def test_descend_closes_prefixes_with_prime_pairs(batched):
         leaves = _LeafBatch(limit, tables)
         if not batched:
             leaves.carry_cap = 0  # no parent qualifies: the scalar leaf
-        out = []
-        _descend(prefix, math.prod(prefix), math.lcm(*(p - 1 for p in prefix)),
-                 len(prefix) + 2, limit, tables, out, leaves)
+        out = _run_task_impl((len(prefix) + 2, *prefix), limit, tables, leaves,
+                             False)
         assert bool(leaves.parents) == batched
         leaves.flush(out)
         return sorted(fs[-2:] for _, fs in out)

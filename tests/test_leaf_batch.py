@@ -21,9 +21,9 @@ from carmichael.catalog import write_catalog
 from carmichael.enumerator import (
     EnumerationConfig,
     _complete_final,
-    _descend,
     _inverse_mod,
     _LeafBatch,
+    _run_task_impl,
     _seed_tasks,
     _Tables,
     enumerate_carmichael,
@@ -96,10 +96,8 @@ def every_leaf_parent(limit, tables, d=None):
     for every factor count or for d alone."""
     recorder = _Recorder(limit, tables)
     config = EnumerationConfig(limit, d_min=d or 3, d_max=d)
-    for d, *primes in _seed_tasks(config, tables):
-        primes = tuple(primes)
-        _descend(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
-                 d, limit, tables, [], recorder)
+    for task in _seed_tasks(config, tables):
+        _run_task_impl(task, limit, tables, recorder, False)
     return recorder.parents
 
 
