@@ -2,9 +2,8 @@
 
 Everything here works on plain Python integers, which are arbitrary
 precision: products never wrap silently, so the usual 128-bit headaches
-(double-width intermediates, overflow traps) do not arise.  `iroot` may
-take its first guess from a float, but it ends with exact integer
-corrections, so its results cannot be perturbed by rounding.
+(double-width intermediates, overflow traps) do not arise.  `iroot` runs
+Newton's iteration on integers alone, so no rounding can perturb it.
 """
 
 from __future__ import annotations
@@ -42,21 +41,13 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    bits = n.bit_length()
-    if bits <= 50 * k and bits < 1024:
-        # n fits a float and its root is below 2**50, so the float's
-        # relative error (a few units in 2**-53, times ln n / k <= 35 from
-        # the exponent) leaves it within a few units of the root; the
-        # loops below make it exact.
-        r = int(n ** (1.0 / k))
-    else:
-        # Newton iteration on integers, seeded from the bit length.
-        r = 1 << -(-bits // k)
-        while True:
-            nxt = ((k - 1) * r + n // r ** (k - 1)) // k
-            if nxt >= r:
-                break
-            r = nxt
+    # Newton's iteration, seeded from the bit length above the root.
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nxt >= r:
+            break
+        r = nxt
     while r ** k > n:
         r -= 1
     while (r + 1) ** k <= n:

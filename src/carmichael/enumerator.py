@@ -58,19 +58,27 @@ Batched leaf layer
 Nearly all of the work is closing leaves, and most leaves emit nothing:
 at 10**11 the first term t of the progression already exceeds
 rmax = (limit - 1) // (P * p) for 87% of them.  So the descent stops one
-level early, at d - 2 primes, and queues each such leaf parent with its
-slice of the sieve (the candidates p for the last-but-one prime) on a
-`_LeafBatch`.  Once `_FLUSH` = 2**14 candidates are queued, across tasks,
-one int64 numpy pass expands the slices, applies the pruning of the
-descent, forms L2 = lcm(L, p - 1) and rmax, takes t = (P * p)^-1 (mod L2)
-by a lane-wise extended Euclid (`_inverse_mod`) and drops the lanes with
-no term in (p, rmax].  The batch spans tasks because per-prefix or
-per-task batches are too small to pay for numpy's per-call cost.  Flushes
-of 2**14 to 2**16 candidates run equally fast at 10**11 and 10**12, 2**13
-is 15% slower, and larger flushes hold more memory: at 10**11, repeated
-in one process, peak RSS is 3.5 MiB above the scalar leaf's with 2**14
-and 8 MiB above it with 2**16 (the heap keeps what numpy's temporaries of
-varying size leave behind); 2**18 adds 17 MiB at 10**12 in a single run.
+level early, at d - 2 primes, and hands each such leaf parent, with its
+reach R = (limit - 1) // P and its slice of the sieve (the candidates p
+for the last-but-one prime), to a `_LeafBatch`.
+
+At or below 2**62 (`_BATCH_LIMIT`) the batch queues the parent.  Once
+`_FLUSH` = 2**14 candidates are queued, across tasks, one int64 numpy
+pass expands the slices, applies the pruning of the descent, forms
+L2 = lcm(L, p - 1), P2 = P * p and rmax, takes t = P2^-1 (mod L2) by a
+lane-wise extended Euclid (`_inverse_mod`) and drops the lanes with no
+term in (p, rmax].  It tests every progression of at most
+`_LONG_PROGRESSION` terms as (P2 - 1) % (r - 1) == 0, expanding the
+terms about `_PIECE` at a time so that memory does not grow with the
+spans; only the hits reach `is_prime` and the Korselt re-check, and
+`_complete_final` closes the longer ones by the divisor route.  The
+batch spans tasks because per-prefix or per-task batches are too small
+to pay for numpy's per-call cost.  Flushes of 2**14 to 2**16 candidates
+run equally fast at 10**11 and 10**12, 2**13 is 15% slower, and larger
+flushes hold more memory: at 10**11, repeated in one process, peak RSS
+is 3.5 MiB above the scalar leaf's with 2**14 and 8 MiB above it with
+2**16 (the heap keeps what numpy's temporaries of varying size leave
+behind); 2**18 adds 17 MiB at 10**12 in a single run.
 
 The prune gcd(P, p - 1) = 1 of `_descend` holds exactly when no prime of
 the parent divides p - 1, as P is their squarefree product.  So the flush
@@ -78,36 +86,16 @@ keeps the parents' primes as int64 columns, padded with sieve_top (which
 exceeds every p - 1, so it divides none), and prunes by one int64 `%` per
 column, each about 20x cheaper than `np.gcd` on the same lane.
 
-Every limit takes the same steps but two, which ask whether the limit is
-at most 2**62 (`_BATCH_LIMIT`).  At or below it the inverse's argument is
-the int64 lane P2 = P * p, and the flush tests every progression of at
-most `_LONG_PROGRESSION` terms as (P2 - 1) % (r - 1) == 0, expanding the
-terms about `_PIECE` at a time so that memory does not grow with the
-spans; only the hits reach `is_prime` and the Korselt re-check, and
-`_complete_final` closes the longer ones by the divisor route.  Above it
-P stays a Python int, P * p % L2 is formed one lane at a time, and every
-lane with a term in (p, rmax] goes to `_complete_final`.
-
 Int64 is exact at or below 2**62: candidates obey P * p**2 < limit, so
-P2 < limit; rmax = R // p with R = (limit - 1) // P, taken once per
-parent, equals (limit - 1) // (P * p) (flooring by P and then by p floors
-by P * p), and rmax <= R < limit; L2 divides the product of the (pi - 1),
-so L2 < P2; t < L2; the first term above p is at most p + L2, and the
-Euclid's cofactors and products stay within 2 * L2.  So every value
-formed is below 2 * limit <= 2**63.
+P2 < limit; rmax = R // p equals (limit - 1) // (P * p) (flooring by P
+and then by p floors by P * p), and rmax <= R < limit; L2 divides the
+product of the (pi - 1), so L2 < P2; t < L2; the first term above p is
+at most p + L2, and the Euclid's cofactors and products stay within
+2 * L2.  So every value formed is below 2 * limit <= 2**63.
 
-Above 2**62 (the deep `smallest` bounds) `_descend` queues a parent only
-when L < 2**62 // sieve_top and R < 2**62, and closes any other leaf
-parent one leaf at a time.  There almost every lane fails: for
-d = 13..17, of 1.90M lanes left by the prune only 417 had a term in
-(p, rmax].  So `add` first drops every parent whose residue class of
-p * q is empty (below).  With the window bound that leaves 298K of the
-3.69M slice lanes, 154K lanes for the inverse, and 110 of 338 slice
-flushes.  Int64 is exact for a queued parent:
-p < sieve_top, so L2 <= L * (p - 1) < 2**62; t and P * p % L2 are below
-L2; rmax <= R < 2**62; the first term above p is at most p + L2 < 2**63,
-and the Euclid stays within 2 * L2 < 2**63.  The gate reads only the
-parent's own L and P.
+Above 2**62 (the deep `smallest` bounds) P2 leaves int64, and the batch
+queues nothing: `add` closes each parent at once, in Python ints,
+through its residue class (below).
 
 Residue-class route
 -------------------
@@ -115,11 +103,22 @@ A leaf parent's completions N = P * p * q, with p from its slice and q
 a prime above p, all put w = p * q in one residue class: L divides
 N - 1 = P * w - 1, so w = c (mod L) with c = P^-1 (mod L).  And
 pmin**2 < p * q = w <= R, where pmin = sieve[lo] is the slice's first
-candidate.  When the class has fewer values below R than `_CLASS_RATIO`
-times the slice's candidates, `add` queues the class instead of the
-slice, and the flush walks w = c + j * L through that range, reading
-the smallest-factor table (`tables.spf`, viewed in place by numpy).  It
-keeps w when
+candidate.  `_class_values` gives the first value and the count there.
+
+An empty class closes its parent at every limit: every completion has w
+in the class and in (pmin**2, R], so when the class has no value there
+the parent has no completion.  The range holds a whole period of the
+class unless R - pmin**2 < L, so at or below 2**62 `add` takes c only
+then or for the class route.  At 10**11 that adds 56 `pow` calls to the
+class route's 52K and closes 18 parents; at 10**12 it closes 82.
+
+`_CLASS_RATIO` caps the class route's work per slice candidate.  At or
+below 2**62 the flush looks each class value up in the smallest-factor
+table, so `add` queues the class instead of the slice when it has fewer
+values below R than `_CLASS_RATIO` times the slice's candidates and
+R < tables.spf_limit (at most `_SPF_CAP` = 2**23), so that the table
+covers every w and q.  The flush walks w = c + j * L through the range
+(`tables.spf`, viewed in place by numpy) and keeps w when
 * p = spf(w) lies in [sieve[lo], sieve[hi - 1]], the slice's range;
 * q = w // p exceeds p and is prime (spf(q) = 0);
 * p - 1 and q - 1 both divide P * w - 1;
@@ -128,32 +127,33 @@ per candidate.  At 10**11 the class route takes 53K of 60K leaf parents:
 6.2M class values replace 2.6M of the 4.8M slice candidates, and the
 flush costs about 30 ns per class value against several hundred per
 candidate.  Ratios of 8, 16 and 32 ran equally fast at 10**11 and 10**12.
+Int64 is exact: every w walked, and so j * L and q, is at most
+R < 2**23; and P * w <= P * R < limit <= 2**62.
+
+Above 2**62 no table covers w.  There a class of fewer than
+`_CLASS_RATIO` values is walked by `add` itself: for each w it takes the
+first slice candidate p that divides w, and emits P * w when
+q = w // p is a prime above p and `korselt_witness` passes.  A walk costs
+|class| trial divisions per candidate, so the ratio caps its work as
+below 2**62.  Any other parent with a class loops its slice, pruning
+each candidate as `_descend` does and closing it with `_complete_final`.
+For d = 13..17, of 357K parents that cuts 343K, walks 13K (23K class
+values) and loops 238 (12K candidates).
 
 Completeness: let N = P * p * q < limit be Carmichael with p in the
 slice and q > p prime.  Korselt gives L | N - 1, so w = p * q is one of
-the values walked; p < q are prime, so spf(w) = p, which lies in the
-slice's range, and q = w // p is a prime above p; and Korselt gives
-(p - 1) | N - 1 and (q - 1) | N - 1.  So w is kept and N emitted.
-Conversely every emission is Carmichael (`korselt_witness` on all its
-primes) and has the form above, which the slice route closes completely,
-so the two routes emit the same numbers for any slice, partial or not.
-The descent's prune needs no check of its own: p | L, or a prime of P
-dividing p - 1, would make that prime divide both N and N - 1.
-
-The route is taken only at or below 2**62 and when R < tables.spf_limit
-(at most `_SPF_CAP` = 2**23), so the table covers every w and q.  Int64
-is exact: c < L < P < limit; every w walked, and so j * L and q, is at
-most R < 2**23; and P * w <= P * R < limit <= 2**62.
-
-An empty class closes its parent at every limit.  The first step of
-that argument needs neither the table nor int64: every completion has w
-in the class and in (pmin**2, R].  So when the class has no value there
-the parent has no completion, and `add` queues nothing.  The range holds
-a whole period of the class unless R - pmin**2 < L, so `add` takes c
-only then or for the class route.  At 10**11 that adds 56 `pow` calls
-to the class route's 52K and closes 18 parents; at 10**12 it closes 82.
-For d = 13..17, above 2**64, it closes 343K of the 357K parents the
-slice route would take.
+the class values walked.  Below 2**62, p < q are prime, so spf(w) = p,
+which lies in the slice's range, and q = w // p is a prime above p; and
+Korselt gives (p - 1) | N - 1 and (q - 1) | N - 1.  Above it, the only
+slice candidates dividing w are p and, when it lies in the slice, q;
+p < q, so p is the first, and q = w // p is a prime above p; N is
+Carmichael, so `korselt_witness` passes.  Either way w is kept and N
+emitted.  Conversely every emission is Carmichael (`korselt_witness` on
+all its primes) and has the form above, which the slice route closes
+completely, so the routes emit the same numbers for any slice, partial
+or not.  The descent's prune needs no check of its own: p | L, or a
+prime of P dividing p - 1, would make that prime divide both N and
+N - 1.
 
 Work is partitioned into subtree tasks seeded by the first one or two
 prefix primes, and the tasks are cut into batches (`_chunk`), each run by
@@ -170,7 +170,7 @@ import contextlib
 import functools
 import math
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -189,19 +189,20 @@ __all__ = [
 ]
 
 # Completion-route tuning: walk the residue progression when it has at most
-# this many terms, otherwise enumerate divisors of P - 1.  At or below
-# _BATCH_LIMIT the leaf batch walks the short progressions itself.
+# this many terms, otherwise enumerate divisors of P - 1.  The leaf batch
+# walks the short progressions itself.
 _LONG_PROGRESSION = 512
 # Smallest-factor table size for fast divisor-route factorizations and
 # for the residue-class route of the leaf batch.
 _SPF_CAP = 1 << 23
-# The leaf batch walks a parent's residue class of p * q instead of its
-# slice when the class holds fewer than this many values per candidate.
+# A leaf parent is closed through its residue class of p * q instead of its
+# slice when the class holds fewer than this many values per candidate at
+# or below _BATCH_LIMIT, and fewer than this many values above it, where a
+# walk of the class costs |class| trial divisions per candidate.
 _CLASS_RATIO = 16
-# At or below this limit P is an int64 lane of the leaf batch and every
-# value it forms stays below 2 * limit; above it P stays a Python int and
-# only parents whose L and R keep the lanes within int64 are queued (see
-# the module docstring).
+# The leaf batch queues parents at or below this limit, where every value
+# its int64 lanes form stays below 2 * limit; above it `_LeafBatch.add`
+# closes each parent at once, in Python ints (module docstring).
 _BATCH_LIMIT = 1 << 62
 # Candidate primes, or class values, pending on either queue of the batched
 # leaf layer before it flushes.
@@ -462,71 +463,72 @@ def _lanes(los, his) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) + offset
 
 
-class _LeafBatch:
-    """Leaf parents of d - 2 primes, completed together in int64 numpy.
+def _class_values(product: int, carry: int, floor: int,
+                  reach: int) -> tuple[int, int]:
+    """First value and count of the w = P^-1 (mod L) in (floor, reach].
 
-    `add` queues a parent with its slice sieve[lo:hi] of candidates for
-    the last-but-one prime p, or, when that is cheaper, with the residue
-    class of p * q that its completions lie in (module docstring); a
-    parent whose class is empty has no completion and is not queued.  Once
-    either queue holds `_FLUSH` lanes, `flush` empties both.  It looks
-    each class value up in the smallest-factor table.  It prunes the
-    slices' candidates by the parents' primes and takes each surviving p
-    through the residue step of `_complete_final` at once.  Every limit
-    runs the same slice steps but two.  The inverse's argument is the
-    int64 lane P * p at or below `_BATCH_LIMIT`, and P * p % L2, formed
-    from Python ints lane by lane, above it.  `_complete_final` closes,
-    one by one, the leaves whose progressions have more than
-    `_LONG_PROGRESSION` terms at or below `_BATCH_LIMIT`, and every leaf
-    with a term in (p, rmax] above it; the flush tests the other
-    progressions term by term.  `_descend` queues a parent only when its
-    carry is below `carry_cap` and its product above `product_floor`, the
-    bounds that keep every lane within int64 (module docstring).
+    The first value is at most floor + L, so the count is never negative;
+    it may exceed what `len` of a range can hold.
+    """
+    c = pow(product, -1, carry)
+    start = floor + 1 + (c - floor - 1) % carry
+    return start, (reach - start) // carry + 1
+
+
+class _LeafBatch:
+    """Leaf parents of d - 2 primes, closed through their slice of
+    candidates for the last-but-one prime p or their residue class of
+    p * q (module docstring).
+
+    At or below `_BATCH_LIMIT`, `add` queues each parent and `flush`
+    closes both queues in int64 numpy once either holds `_FLUSH` lanes.
+    Above it `add` closes each parent at once, in Python ints: it drops a
+    parent whose class is empty, walks a class of fewer than
+    `_CLASS_RATIO` values and loops any other parent's slice.
     """
 
     def __init__(self, limit: int, tables: _Tables):
         self.limit = limit
         self.tables = tables
-        self.parents: list[tuple] = []  # (primes, product, carry, lo, hi)
-        # (primes, product, carry, pmin, pmax, c, lo, hi): w = c + j * carry
-        # for lo <= j < hi.
+        # (primes, product, carry, reach, lo, hi)
+        self.parents: list[tuple] = []
+        # (primes, product, carry, pmin, pmax, start, lo, hi): the class
+        # values w = start + j * carry for lo <= j < hi.
         self.classes: list[tuple] = []
         self.pending = self.class_pending = 0  # lanes queued on each
         self.spf = np.frombuffer(tables.spf, dtype=np.int32)  # a view
-        # At or below _BATCH_LIMIT every parent qualifies (carry < P < limit).
-        self.carry_cap = (
-            limit if limit <= _BATCH_LIMIT else _BATCH_LIMIT // tables.sieve_top
-        )
-        self.product_floor = (limit - 1) // _BATCH_LIMIT  # R < 2**62 above it
-        # The class route needs R < spf_limit, that is P > class_floor, and
-        # a limit of at most _BATCH_LIMIT (no parent's P reaches limit).
-        self.class_floor = (
-            (limit - 1) // tables.spf_limit if limit <= _BATCH_LIMIT else limit
-        )
 
-    def add(self, primes, product, carry, lo, hi, out: list) -> None:
+    def add(self, primes, product, carry, reach, lo, hi, out: list) -> None:
+        """Close or queue the parent with children sieve[lo:hi] and reach
+        R = (limit - 1) // P."""
         if lo >= hi:
             return
         sieve = self.tables.sieve
-        reach, pmin = (self.limit - 1) // product, sieve[lo]
-        by_class = (product > self.class_floor
+        floor = sieve[lo] ** 2
+        if self.limit > _BATCH_LIMIT:
+            start, count = _class_values(product, carry, floor, reach)
+            if not count:
+                return  # an empty class: the parent has no completion
+            if count < _CLASS_RATIO:
+                self._walk_class(primes, product, range(start, reach + 1, carry),
+                                 sieve[lo:hi], out)
+            else:
+                self._loop_slice(primes, product, carry, sieve[lo:hi], out)
+            return
+        by_class = (reach < self.tables.spf_limit
                     and reach // carry + 1 < _CLASS_RATIO * (hi - lo))
-        # Every completion has w = p * q = c (mod carry) with
-        # pmin**2 < w <= reach (module docstring): w = c + j * carry for
-        # jlo <= j < jhi, as c < carry.  That range of w holds a whole
-        # period of the class unless reach - pmin**2 < carry, so only then
-        # can the class be empty.
-        floor = pmin * pmin
+        # The range (floor, reach] holds a whole period of the class unless
+        # reach - floor < carry, so only then can the class be empty.
         if by_class or reach - floor < carry:
-            c = pow(product, -1, carry)
-            jlo, jhi = (floor - c) // carry + 1, (reach - c) // carry + 1
-            if jlo >= jhi:
+            start, count = _class_values(product, carry, floor, reach)
+            if not count:
                 return  # an empty class: the parent has no completion
             if by_class:
-                head = (primes, product, carry, pmin, sieve[hi - 1], c)
+                head = (primes, product, carry, sieve[lo], sieve[hi - 1], start)
                 # Both queues are cut into pieces of at most _FLUSH lanes.
-                while jlo < jhi:
-                    take = min(jhi - jlo, _FLUSH - self.class_pending)
+                jlo = 0
+                while jlo < count:
+                    take = min(count - jlo, _FLUSH - self.class_pending)
                     self.classes.append(head + (jlo, jlo + take))
                     self.class_pending += take
                     jlo += take
@@ -535,11 +537,32 @@ class _LeafBatch:
                 return
         while lo < hi:
             take = min(hi - lo, _FLUSH - self.pending)
-            self.parents.append((primes, product, carry, lo, lo + take))
+            self.parents.append((primes, product, carry, reach, lo, lo + take))
             self.pending += take
             lo += take
             if self.pending >= _FLUSH:
                 self.flush(out)
+
+    def _walk_class(self, primes, product, values, candidates, out) -> None:
+        """Emit P * w for each class value w = p * q with p the first of
+        the candidates dividing w and q = w // p a prime above p."""
+        for w in values:
+            for p in candidates:
+                if w % p == 0:
+                    q = w // p
+                    if q > p and is_prime(q):
+                        n = product * w
+                        if korselt_witness(n, primes + (p, q)) is None:
+                            out.append((n, primes + (p, q)))
+                    break
+
+    def _loop_slice(self, primes, product, carry, candidates, out) -> None:
+        """Prune each candidate as `_descend` does and complete it."""
+        for p in candidates:
+            if carry % p == 0 or math.gcd(product, p - 1) != 1:
+                continue
+            _complete_final(primes + (p,), product * p, math.lcm(carry, p - 1),
+                            self.limit, self.tables, out)
 
     def flush(self, out: list) -> None:
         parents, self.parents = self.parents, []
@@ -551,10 +574,10 @@ class _LeafBatch:
             self._close_slices(parents, out)
 
     def _close_classes(self, classes: list, out: list) -> None:
-        heads, products, carries, pmins, pmaxs, cs, los, his = zip(*classes)
+        heads, products, carries, pmins, pmaxs, starts, los, his = zip(*classes)
         owner, step = _lanes(los, his)
         carry = np.array(carries, dtype=np.int64)[owner]
-        w = np.array(cs, dtype=np.int64)[owner] + step * carry
+        w = np.array(starts, dtype=np.int64)[owner] + step * carry
         # p = spf(w) must be a candidate of the parent's slice; spf is 0
         # for a prime w (and for 1).
         p = self.spf[w >> 1].astype(np.int64)
@@ -575,7 +598,7 @@ class _LeafBatch:
                 out.append((n, primes))
 
     def _close_slices(self, parents: list, out: list) -> None:
-        heads, products, carries, los, his = zip(*parents)
+        heads, products, carries, reaches, los, his = zip(*parents)
         owner, index = _lanes(los, his)
         p = self.tables.sieve64[index]
         carry = np.array(carries, dtype=np.int64)[owner]
@@ -593,20 +616,8 @@ class _LeafBatch:
         carry = carry // np.gcd(carry, p - 1) * (p - 1)  # L2 = lcm(L, p - 1)
         # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P;
         # p <= isqrt(R) (the descent's bound), so rmax >= p.
-        reach = np.array([(self.limit - 1) // P for P in products],
-                         dtype=np.int64)
-        rmax = reach[owner] // p
-        narrow = self.limit <= _BATCH_LIMIT
-        if narrow:
-            product = np.array(products, dtype=np.int64)[owner] * p
-        else:
-            # P * p exceeds int64; only its residue is formed, and no lane
-            # reaches the progression test below, which reads P * p.
-            product = np.array(
-                [products[i] * q % m
-                 for i, q, m in zip(owner.tolist(), p.tolist(), carry.tolist())],
-                dtype=np.int64,
-            )
+        rmax = np.array(reaches, dtype=np.int64)[owner] // p
+        product = np.array(products, dtype=np.int64)[owner] * p
         t = _inverse_mod(product, carry)
         # First term above p; keep the lanes where it is at most rmax.
         first = np.where(t > p, t, t + ((p - t) // carry + 1) * carry)
@@ -615,8 +626,7 @@ class _LeafBatch:
             a[keep] for a in (owner, p, product, carry, rmax, t, first)
         )
         span = (rmax - t) // carry + 1
-        # Above _BATCH_LIMIT every lane is long, as every span is at least 1.
-        long = span > (_LONG_PROGRESSION if narrow else 0)
+        long = span > _LONG_PROGRESSION
         for i in np.flatnonzero(long).tolist():
             o, q = int(owner[i]), int(p[i])
             _complete_final(heads[o] + (q,), products[o] * q, int(carry[i]),
@@ -663,19 +673,6 @@ def _child_end(reach: int, m: int, tables: _Tables) -> int:
     return hi if hi < len(windows) else tables.window_end(m, reach)
 
 
-def _child_range(
-    primes: tuple[int, ...], product: int, d: int, limit: int, tables: _Tables
-) -> tuple[int, int]:
-    """The slice sieve[lo:hi] of primes that can follow the prefix.
-
-    lo is found by bisection and hi by `_child_end`; this serves the task
-    seeds, while `_descend` hands each child its lo instead.
-    """
-    sieve = tables.sieve
-    lo = bisect_right(sieve, primes[-1]) if primes else bisect_left(sieve, 3)
-    return lo, _child_end((limit - 1) // product, d - len(primes), tables)
-
-
 def _descend(
     primes: tuple[int, ...],
     product: int,
@@ -689,13 +686,10 @@ def _descend(
 ) -> None:
     """Search below the prefix, whose children start at sieve[lo]."""
     k = len(primes)
-    if k == d - 1:
-        _complete_final(primes, product, carry, limit, tables, out)
-        return
-    hi = _child_end((limit - 1) // product, d - k, tables)
-    if (k == d - 2 and carry < leaves.carry_cap
-            and product > leaves.product_floor):
-        leaves.add(primes, product, carry, lo, hi, out)
+    reach = (limit - 1) // product
+    hi = _child_end(reach, d - k, tables)
+    if k == d - 2:
+        leaves.add(primes, product, carry, reach, lo, hi, out)
         return
     for after, p in enumerate(tables.sieve[lo:hi], lo + 1):
         if carry % p == 0 or math.gcd(product, p - 1) != 1:
@@ -725,8 +719,9 @@ def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
     limit, sieve = config.limit, tables.sieve
     tasks: list[tuple] = []
     for d in range(config.d_min, config.resolved_d_max() + 1):
-        lo, hi = _child_range((), 1, d, limit, tables)
-        for after, p1 in enumerate(sieve[lo:hi], lo + 1):
+        # Index 0 of the sieve is 2, so the odd primes start at 1.
+        hi = _child_end(limit - 1, d, tables)
+        for after, p1 in enumerate(sieve[1:hi], 2):
             if d == 3:
                 tasks.append((d, p1))
                 continue

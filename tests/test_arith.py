@@ -53,8 +53,8 @@ def test_iroot_examples():
 
 @pytest.mark.parametrize("k", range(3, 21))
 def test_iroot_brackets_powers_and_the_float_seed_threshold(k):
-    # m**k +- 1 for m near 2**50 (the largest roots seeded from a float)
-    # and for small m, then n on either side of 50 * k bits.
+    # m**k +- 1 for m near 2**50 and for small m, then n on either side
+    # of 50 * k bits: exact powers and their neighbours, large and small.
     ms = [2, 3, 10, 12345, 2**50 - 2, 2**50 - 1, 2**50, 2**50 + 1]
     ns = [m**k + e for m in ms for e in (-1, 0, 1)]
     for bits in (50 * k - 1, 50 * k, 50 * k + 1):

@@ -9,7 +9,7 @@ from carmichael.arith import iroot
 from carmichael.enumerator import (
     EnumerationConfig,
     _complete_final,
-    _child_range,
+    _child_end,
     _run_task_impl,
     _LeafBatch,
     _seed_tasks,
@@ -88,8 +88,16 @@ def brute_child_range(primes, d, limit, sieve):
 BRUTE_LIMITS = [10**4, 10**12, 2**64, 2**90]
 
 
+def child_range(primes, product, d, limit, tables):
+    """The slice sieve[lo:hi] of primes that can follow the prefix: lo by
+    bisection (index 1 for no prefix, past the prime 2) and hi by
+    `_child_end`, as the task seeds and `_descend` take them."""
+    lo = bisect_right(tables.sieve, primes[-1]) if primes else 1
+    return lo, _child_end((limit - 1) // product, d - len(primes), tables)
+
+
 def random_child_cuts(tables, limit, rng, cases):
-    """`_child_range` against the brute force on random prefixes; for each,
+    """`_child_end` against the brute force on random prefixes; for each,
     how far the window bound cuts below the root bound."""
     sieve = tables.sieve
     cuts = []
@@ -101,7 +109,7 @@ def random_child_cuts(tables, limit, rng, cases):
         product = math.prod(primes)
         if product >= limit:
             continue
-        lo, hi = _child_range(primes, product, d, limit, tables)
+        lo, hi = child_range(primes, product, d, limit, tables)
         # hi < lo when primes[-1] already exceeds the bound.
         assert sieve[lo:hi] == sieve[slice(
             *brute_child_range(primes, d, limit, sieve))]
@@ -131,10 +139,10 @@ def test_child_range_is_tighter_than_the_root_bound():
     # but 5 * 7 * 11 * 13 * 17 = 85085 > 15015.
     tables = _Tables.for_limit(10**6)
     sieve = tables.sieve
-    assert _child_range((), 1, 5, 15016, tables) == (1, 2)
-    assert _child_range((), 1, 5, 15015, tables) == (1, 1)
+    assert child_range((), 1, 5, 15016, tables) == (1, 2)
+    assert child_range((), 1, 5, 15015, tables) == (1, 1)
     # m = 2 keeps p <= isqrt(R): 11 * 13 = 143 > 130, yet 11**2 <= 130.
-    assert [sieve[i] for i in range(*_child_range((3,), 3, 3, 391, tables))] == [
+    assert [sieve[i] for i in range(*child_range((3,), 3, 3, 391, tables))] == [
         5, 7, 11]
 
 
@@ -173,12 +181,14 @@ def test_complete_final_empty_for_3_5():
 
 
 @pytest.mark.parametrize("batched", [False, True])
-def test_descend_closes_prefixes_with_prime_pairs(batched):
+def test_descend_closes_prefixes_with_prime_pairs(monkeypatch, batched):
+    if not batched:
+        # Every limit is above the batch's: `add` closes each parent at once.
+        monkeypatch.setattr(enumerator, "_BATCH_LIMIT", 0)
+
     def pairs(prefix, limit):
         tables = _Tables.for_limit(limit)
         leaves = _LeafBatch(limit, tables)
-        if not batched:
-            leaves.carry_cap = 0  # no parent qualifies: the scalar leaf
         out = _run_task_impl((len(prefix) + 2, *prefix), limit, tables, leaves,
                              False)
         assert bool(leaves.parents) == batched

@@ -1,11 +1,18 @@
-"""The batched leaf layer against the engine's own scalar leaf.
+"""The leaf layer against the engine's own scalar leaf.
 
-`_LeafBatch` completes leaf parents (prefixes of d - 2 primes) in int64
-numpy; `_complete_final` is the scalar leaf it replaces.  Both are run
-here on the same parents, at or below 2**62 where P is an int64 lane and
-above it where P stays a Python int, and must emit the same numbers.  At
-or below 2**62 the batch closes a parent through its slice or through
-the residue class of p * q; the route tests force either one.
+`_LeafBatch` closes leaf parents (prefixes of d - 2 primes);
+`_complete_final`, run on each candidate of a parent's slice after the
+descent's prune, is the scalar leaf it replaces.  Both are run here on
+the same parents and must emit the same numbers.  At or below 2**62 the
+batch queues a parent and closes it in int64 numpy through its slice or
+through the residue class of p * q.  Above 2**62 `add` closes it at once
+in Python ints: an empty class cuts it, a class of fewer than
+`_CLASS_RATIO` values is walked, and any other parent loops its slice.
+The route tests force each route through `_CLASS_RATIO` = 0 and 10**9.
+A walk keeps w = p * q through the first slice candidate p dividing it;
+every completion N = P * p * q has w in the class, and the slice
+candidates dividing w are p and possibly q > p, so p is that first
+candidate, which the tests check on completions whose q lies in the slice.
 """
 
 import math
@@ -20,6 +27,8 @@ from carmichael.arith import iroot
 from carmichael.catalog import write_catalog
 from carmichael.enumerator import (
     EnumerationConfig,
+    _child_end,
+    _class_values,
     _complete_final,
     _inverse_mod,
     _LeafBatch,
@@ -28,7 +37,7 @@ from carmichael.enumerator import (
     _Tables,
     enumerate_carmichael,
 )
-from carmichael.primes import is_prime
+from carmichael.primes import factorize, is_prime
 
 
 def fibonacci_below(bound):
@@ -66,7 +75,8 @@ def test_inverse_mod_raises_on_a_lane_without_inverse():
 class _Recorder(_LeafBatch):
     """A `_LeafBatch` that keeps the parents `_descend` adds, unflushed."""
 
-    def add(self, primes, product, carry, lo, hi, out):
+    def add(self, primes, product, carry, reach, lo, hi, out):
+        assert reach == (self.limit - 1) // product
         if lo < hi:
             self.parents.append((primes, product, carry, lo, hi))
 
@@ -83,10 +93,16 @@ def scalar_leaves(parents, limit, tables):
     return sorted(out)
 
 
+def add_parent(batch, parent, out):
+    """`batch.add` of a parent (primes, product, carry, lo, hi)."""
+    primes, product, carry, lo, hi = parent
+    batch.add(primes, product, carry, (batch.limit - 1) // product, lo, hi, out)
+
+
 def batched_leaves(parents, limit, tables):
     batch, out = _LeafBatch(limit, tables), []
     for parent in parents:
-        batch.add(*parent, out)
+        add_parent(batch, parent, out)
     batch.flush(out)
     return sorted(out)
 
@@ -120,25 +136,31 @@ def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
     parents = every_leaf_parent(limit, tables, d)
     empty = []
     for primes, product, carry, lo, hi in parents:
-        batch = _LeafBatch(limit, tables)
-        batch.add(primes, product, carry, lo, hi, [])
+        batch, closed = _LeafBatch(limit, tables), routes.closed_at_once()
+        add_parent(batch, (primes, product, carry, lo, hi), [])
+        # Queued at or below 2**62, walked or looped above it.
+        closed = (batch.pending + batch.class_pending
+                  + routes.closed_at_once() - closed)
         # The first w = p * q = P^-1 (mod L) above pmin**2, against R.
         floor, c = tables.sieve[lo] ** 2, pow(product, -1, carry)
         w = floor + 1 + (c - floor - 1) % carry
         if w > (limit - 1) // product:
-            assert batch.pending == batch.class_pending == 0
+            assert closed == 0
             empty.append((primes, product, carry, lo, hi))
         else:
-            assert batch.pending + batch.class_pending > 0
+            assert closed > 0
     # Exact: the parents the cut closes have no completion.
     assert 0 < len(empty) < len(parents)
     assert scalar_leaves(empty, limit, tables) == []
     assert not routes.slices and not routes.classes
-    # The others still close every completion, at 2**64 by the slice route.
+    # The others still close every completion: at 2**64 by walks and loops.
     batched = batched_leaves(parents, limit, tables)
     assert batched == scalar_leaves(parents, limit, tables)
     assert len(batched) == (646 if d is None else 5)
-    assert sum(hi - lo for *_, lo, hi in routes.slices) > 0
+    if d is None:
+        assert sum(hi - lo for *_, lo, hi in routes.slices) > 0
+    else:
+        assert routes.walks and routes.loops
 
 
 def chernick_parents(limit, tables, count, factors=3):
@@ -287,12 +309,14 @@ def test_the_terms_are_expanded_in_many_pieces(monkeypatch, piece):
 
 
 class RouteSpy:
-    """What each flush hands to the class route and to the slice route."""
+    """What each flush hands to the class route and to the slice route, and
+    the parents `add` walks or loops at once above 2**62."""
 
     def __init__(self, monkeypatch):
-        self.classes, self.slices = [], []
+        self.classes, self.slices, self.walks, self.loops = [], [], [], []
         close_classes = _LeafBatch._close_classes
         close_slices = _LeafBatch._close_slices
+        walk, loop = _LeafBatch._walk_class, _LeafBatch._loop_slice
 
         def classes(batch, queue, out):
             self.classes.append([hi - lo for *_, lo, hi in queue])
@@ -302,8 +326,21 @@ class RouteSpy:
             self.slices += queue
             close_slices(batch, queue, out)
 
+        def walks(batch, primes, product, values, candidates, out):
+            self.walks.append((primes, len(values)))
+            walk(batch, primes, product, values, candidates, out)
+
+        def loops(batch, primes, product, carry, candidates, out):
+            self.loops.append(primes)
+            loop(batch, primes, product, carry, candidates, out)
+
         monkeypatch.setattr(_LeafBatch, "_close_classes", classes)
         monkeypatch.setattr(_LeafBatch, "_close_slices", slices)
+        monkeypatch.setattr(_LeafBatch, "_walk_class", walks)
+        monkeypatch.setattr(_LeafBatch, "_loop_slice", loops)
+
+    def closed_at_once(self):
+        return len(self.walks) + len(self.loops)
 
     def check(self, ratio, limit, tables):
         """Ratio 0 keeps the class route idle; 10**9 gives it every parent
@@ -414,83 +451,145 @@ def test_catalogs_from_one_and_two_workers_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def gated(parents, batch):
-    """The parents `_descend` would queue on `batch`."""
-    return [x for x in parents
-            if x[2] < batch.carry_cap and x[1] > batch.product_floor]
+def class_size(parent, limit, tables):
+    primes, product, carry, lo, hi = parent
+    return _class_values(product, carry, tables.sieve[lo] ** 2,
+                         (limit - 1) // product)[1]
+
+
+# The factor count of a search below each limit whose leaf parents take
+# every route above 2**62: most are cut, many walked and some, at 2**64,
+# looped.
+DEEP = {2**64: 12, 2**80: 15, 2**96: 17}
 
 
 @pytest.mark.parametrize("limit, factors", [(2**64, 3), (2**80, 3), (2**96, 4)])
 def test_random_leaf_parents_above_2_62(monkeypatch, limit, factors):
-    monkeypatch.setattr(enumerator, "_FLUSH", 2048)
     routes = RouteSpy(monkeypatch)
     tables = _Tables.for_limit(10**12)
-    batch = _LeafBatch(limit, tables)
-    assert batch.carry_cap == 2**62 // tables.sieve_top
+    # Chernick and random parents have long classes: the slice loop.
     parents, expected = chernick_parents(limit, tables, 5, factors)
-    assert gated(parents, batch) == parents and len(expected) == 5
-    rng = random.Random(limit)
-    while len(parents) < 30:
-        parents += gated(random_parents(rng, limit, tables, 1), batch)
-    rng.shuffle(parents)
-    batched = batched_leaves(parents, limit, tables)
-    assert batched == scalar_leaves(parents, limit, tables)
-    assert set(expected) <= set(batched)
-    # Lanes still reach the slice route: the empty-class cut leaves some.
-    assert sum(hi - lo for *_, lo, hi in routes.slices) > 0
+    assert len(expected) == 5
+    parents += random_parents(random.Random(limit), limit, tables, 10)
+    parents += every_leaf_parent(limit, tables, DEEP[limit])
+    reference = scalar_leaves(parents, limit, tables)
+    assert set(expected) <= set(reference)
+    sizes = [class_size(x, limit, tables) for x in parents]
+    cut = sum(size == 0 for size in sizes)
+    assert 0 < cut < len(parents)
+    assert batched_leaves(parents, limit, tables) == reference
+    ratio = enumerator._CLASS_RATIO
+    assert len(routes.walks) == sum(0 < size < ratio for size in sizes) > 0
+    assert len(routes.loops) == sum(size >= ratio for size in sizes) > 0
+    # Ratio 0 loops every parent the cut leaves; 10**9 walks every one, and
+    # is given the parents whose classes are short enough to walk here.
+    for ratio, kept in ((0, parents),
+                        (10**9, [x for x, size in zip(parents, sizes)
+                                 if size < 1000])):
+        set_ratio(monkeypatch, ratio)
+        walks, loops = len(routes.walks), len(routes.loops)
+        assert batched_leaves(kept, limit, tables) == scalar_leaves(
+            kept, limit, tables)
+        walks, loops = len(routes.walks) - walks, len(routes.loops) - loops
+        live = sum(class_size(x, limit, tables) > 0 for x in kept)
+        assert (walks, loops) == ((0, live) if ratio == 0 else (live, 0))
+    assert not routes.slices and not routes.classes
 
 
-def cap_carry(monkeypatch, cap):
-    init = _LeafBatch.__init__
+def leaf_parent(n, limit, tables):
+    """The leaf parent `_descend` hands on for the Carmichael number n
+    below limit, and n's primes."""
+    primes = tuple(p for p, _ in factorize(n).factors)
+    head = primes[:-2]
+    product = math.prod(head)
+    lo = bisect_right(tables.sieve, head[-1])
+    hi = _child_end((limit - 1) // product, 2, tables)
+    return (head, product, math.lcm(*(p - 1 for p in head)), lo, hi), primes
 
-    def capped(self, limit, tables):
-        init(self, limit, tables)
-        self.carry_cap = cap
 
-    monkeypatch.setattr(_LeafBatch, "__init__", capped)
+# The smallest Carmichael numbers with 14 and 17 factors, and one with 12.
+@pytest.mark.parametrize("limit, n", [
+    (2**64, 7156857700403137441),
+    (2**80, 87674969936234821377601),
+    (2**96, 35237869211718889547310642241),
+])
+def test_a_walk_takes_the_first_candidate_dividing_w(monkeypatch, limit, n):
+    # Both p and q lie in the slice, so the slice candidates dividing
+    # w = p * q are p and q; only p, the first, gives q = w // p > p.
+    routes = RouteSpy(monkeypatch)
+    tables = _Tables.for_limit(10**12)
+    parent, primes = leaf_parent(n, limit, tables)
+    head, product, carry, lo, hi = parent
+    assert tables.sieve[lo] <= primes[-2] < primes[-1] <= tables.sieve[hi - 1]
+    size = class_size(parent, limit, tables)
+    assert 0 < size < enumerator._CLASS_RATIO
+    batched = batched_leaves([parent], limit, tables)
+    assert (n, primes) in batched
+    assert routes.walks == [(head, size)]
+    # The slice loop closes it too, and either route closes it once from
+    # the halves of the slice cut on either side of p.
+    i = bisect_left(tables.sieve, primes[-2])
+    for ratio in (None, 0):
+        set_ratio(monkeypatch, ratio)
+        assert batched_leaves([parent], limit, tables) == batched
+        for cut in (i, i + 1):
+            halves = [(head, product, carry, lo, cut),
+                      (head, product, carry, cut, hi)]
+            assert batched_leaves(halves, limit, tables) == batched
+    assert head in routes.loops
 
 
-def test_limits_above_2_62_flush_the_batch(monkeypatch):
+def test_limits_above_2_62_queue_nothing(monkeypatch):
     flushed = []
     flush = _LeafBatch.flush
 
     def spy(self, out):
-        flushed.append(len(self.parents))
+        flushed.append(len(self.parents) + len(self.classes))
         flush(self, out)
 
     monkeypatch.setattr(_LeafBatch, "flush", spy)
     routes = RouteSpy(monkeypatch)
     config = EnumerationConfig(2**64, d_min=12, d_max=12)
     batched = enumerate_carmichael(config).entries
-    assert len(batched) == 5 and sum(flushed) > 0
-    assert sum(hi - lo for *_, lo, hi in routes.slices) > 0
-    flushed.clear()
-    cap_carry(monkeypatch, 0)  # no parent qualifies: every leaf is scalar
-    assert enumerate_carmichael(config).entries == batched
-    assert sum(flushed) == 0
+    assert len(batched) == 5 and flushed and sum(flushed) == 0
+    assert routes.walks and routes.loops
+    for ratio in (0, 10**9):
+        set_ratio(monkeypatch, ratio)
+        walks, loops = len(routes.walks), len(routes.loops)
+        assert enumerate_carmichael(config).entries == batched
+        # Only the forced route runs: loops at ratio 0, walks at 10**9.
+        walked, looped = len(routes.walks) > walks, len(routes.loops) > loops
+        assert (walked, looped) == (ratio != 0, ratio == 0)
+    assert sum(flushed) == 0 and not routes.slices and not routes.classes
 
 
-def test_parents_above_the_carry_cap_take_the_scalar_loop(monkeypatch):
+def test_each_parent_above_2_62_takes_the_route_its_class_picks(monkeypatch):
     config = EnumerationConfig(2**64, d_min=12, d_max=12)
+    tables = _Tables.for_limit(config.limit, config.d_min)
     reference = enumerate_carmichael(config).entries
-    cap = 1148400  # about the median carry of this search's leaf parents
-    cap_carry(monkeypatch, cap)
-    queued, parents, leaves = [], [], []
+    routes = RouteSpy(monkeypatch)
+    sizes, nodes = {}, []
     add, descend = _LeafBatch.add, enumerator._descend
 
-    def add_spy(self, primes, product, carry, lo, hi, out):
-        queued.append(carry)
-        add(self, primes, product, carry, lo, hi, out)
+    def add_spy(self, primes, product, carry, reach, lo, hi, out):
+        assert reach == (self.limit - 1) // product
+        if lo < hi:
+            sizes[primes] = class_size((primes, product, carry, lo, hi),
+                                       self.limit, tables)
+        add(self, primes, product, carry, reach, lo, hi, out)
 
     def descend_spy(primes, product, carry, d, *rest):
-        if len(primes) == d - 2:
-            parents.append(carry)
-        elif len(primes) == d - 1:
-            leaves.append(primes)
+        nodes.append(len(primes))
         descend(primes, product, carry, d, *rest)
 
     monkeypatch.setattr(_LeafBatch, "add", add_spy)
     monkeypatch.setattr(enumerator, "_descend", descend_spy)
     assert enumerate_carmichael(config).entries == reference
-    assert sorted(queued) == sorted(c for c in parents if c < cap)
-    assert queued and len(queued) < len(parents) and leaves
+    # Every leaf parent goes to `add`; no node of d - 1 primes is visited.
+    assert max(nodes) == 12 - 2
+    ratio = enumerator._CLASS_RATIO
+    assert sorted(p for p, _ in routes.walks) == sorted(
+        p for p, size in sizes.items() if 0 < size < ratio)
+    assert sorted(routes.loops) == sorted(
+        p for p, size in sizes.items() if size >= ratio)
+    assert all(size == sizes[p] for p, size in routes.walks)
