@@ -105,29 +105,29 @@ N - 1 = P * w - 1, so w = c (mod L) with c = P^-1 (mod L).  And
 pmin**2 < p * q = w <= R, where pmin = sieve[lo] is the slice's first
 candidate.  `_class_values` gives the first value and the count there.
 
-An empty class closes its parent at every limit: every completion has w
-in the class and in (pmin**2, R], so when the class has no value there
-the parent has no completion.  The range holds a whole period of the
-class unless R - pmin**2 < L, so at or below 2**62 `add` takes c only
-then or for the class route.  At 10**11 that adds 56 `pow` calls to the
-class route's 52K and closes 18 parents; at 10**12 it closes 82.
+`add` counts the class of every parent with a non-empty slice, with one
+`pow` (about 1.4 us), and that count alone routes the parent.  A count
+of 0 closes the parent at every limit: every completion has w in the
+class and in (pmin**2, R], so when the class has no value there the
+parent has no completion.  That closes 9,328 of 57,338 parents at
+10**11 and 53,252 of 234,314 at 10**12.
 
 `_CLASS_RATIO` caps the class route's work per slice candidate.  At or
 below 2**62 the flush looks each class value up in the smallest-factor
-table, so `add` queues the class instead of the slice when it has fewer
-values below R than `_CLASS_RATIO` times the slice's candidates and
-R < tables.spf_limit (at most `_SPF_CAP` = 2**23), so that the table
-covers every w and q.  The flush walks w = c + j * L through the range
-(`tables.spf`, viewed in place by numpy) and keeps w when
+table, so `add` queues the class instead of the slice when its count is
+below `_CLASS_RATIO` times the slice's candidates and R < tables.spf_limit
+(at most `_SPF_CAP` = 2**23), so that the table covers every w and q.
+The flush walks w = c + j * L through the range, indexing the uint16
+`tables.spf` in place, and keeps w when
 * p = spf(w) lies in [sieve[lo], sieve[hi - 1]], the slice's range;
 * q = w // p exceeds p and is prime (spf(q) = 0);
 * p - 1 and q - 1 both divide P * w - 1;
 and re-checks every kept w with `korselt_witness`.  No inverse is taken
-per candidate.  At 10**11 the class route takes 53K of 60K leaf parents:
-6.2M class values replace 2.6M of the 4.8M slice candidates, and the
-flush costs about 30 ns per class value against several hundred per
-candidate.  Ratios of 8, 16 and 32 ran equally fast at 10**11 and 10**12.
-Int64 is exact: every w walked, and so j * L and q, is at most
+per candidate.  At 10**11 the class route takes 43.7K of 57.3K leaf
+parents: 6.5M class values replace 2.6M of the 4.8M slice candidates,
+and the flush costs about 30 ns per class value against several hundred
+per candidate.  Ratios of 8, 16 and 32 ran equally fast at 10**11 and
+10**12.  Int64 is exact: every w walked, and so j * L and q, is at most
 R < 2**23; and P * w <= P * R < limit <= 2**62.
 
 Above 2**62 no table covers w.  There a class of fewer than
@@ -156,12 +156,12 @@ prime of P dividing p - 1, would make that prime divide both N and
 N - 1.
 
 Work is partitioned into subtree tasks seeded by the first one or two
-prefix primes, and the tasks are cut into batches (`_chunk`), each run by
-`_worker_run` under one leaf batch.  Every worker count runs the same
-batches; the worker count only chooses where they run, in this process
-or on a fork pool.  Results are merged, sorted and checked for
-duplicates, so output is identical for any worker count and any flush
-boundaries.
+prefix primes, and `_chunk` cuts the tasks into about 8 batches per
+worker (8 at 10**11 on one worker and 16 on two; 9 and 17 at 10**12),
+each run by `_worker_run` under one leaf batch, in this process or on a
+fork pool.  Workers are capped at the CPU count.  Results are merged,
+sorted and checked for duplicates, so output is identical for any
+worker count and any flush boundaries.
 """
 
 from __future__ import annotations
@@ -220,28 +220,21 @@ def max_factor_count(limit: int) -> int:
     Every Carmichael number has at least 3 prime factors, so the answer is
     never below 3: it is 3 for every limit up to 3 * 5 * 7 * 11 = 1155.
     """
-    product, d, p = 3 * 5 * 7, 3, 11
-    while product * p < limit:
-        product *= p
+    d = 3
+    while min_odd_prime_product(d + 1) < limit:
         d += 1
-        p = _next_odd_prime(p)
     return d
-
-
-def _next_odd_prime(p: int) -> int:
-    q = p + 2
-    while not is_prime(q):
-        q += 2
-    return q
 
 
 @functools.cache
 def min_odd_prime_product(count: int) -> int:
     """Product of the `count` smallest odd primes (1 for count <= 0)."""
-    product, p = 1, 3
+    product, p = 1, 1
     for _ in range(count):
+        p += 2
+        while not is_prime(p):
+            p += 2
         product *= p
-        p = _next_odd_prime(p)
     return product
 
 
@@ -285,7 +278,10 @@ class _Tables:
     sieve: list[int]
     sieve64: np.ndarray  # the same primes, for the batched leaf layer
     sieve_top: int
-    spf: object  # array('i'); smallest factor of odd numbers
+    # uint16 smallest factor of each odd number below spf_limit, 0 for a
+    # prime (`smallest_factor_table`); read in place by numpy and through
+    # a memoryview by Python.
+    spf: np.ndarray
     spf_limit: int
     # m -> products of the m consecutive primes from each sieve index, up
     # to the first above the largest reach served (`window_end`).
@@ -333,8 +329,11 @@ def _build_tables(sieve_top: int, spf_limit: int) -> _Tables:
     )
 
 
-def _spf_factor(n: int, tables: _Tables) -> list[tuple[int, int]]:
-    """Factor n via the smallest-factor table (n below its limit)."""
+def _factor_fast(n: int, tables: _Tables) -> list[tuple[int, int]]:
+    """Factor n, through the smallest-factor table when n is below its
+    limit; every prime and exponent is a Python int."""
+    if n >= tables.spf_limit:
+        return list(factorize(n).factors)
     fac = []
     if n % 2 == 0:
         e = 0
@@ -342,7 +341,7 @@ def _spf_factor(n: int, tables: _Tables) -> list[tuple[int, int]]:
             n //= 2
             e += 1
         fac.append((2, e))
-    spf = tables.spf
+    spf = memoryview(tables.spf)
     while n > 1:
         p = spf[n >> 1] or n
         e = 0
@@ -351,12 +350,6 @@ def _spf_factor(n: int, tables: _Tables) -> list[tuple[int, int]]:
             e += 1
         fac.append((p, e))
     return fac
-
-
-def _factor_fast(n: int, tables: _Tables) -> list[tuple[int, int]]:
-    if n < tables.spf_limit:
-        return _spf_factor(n, tables)
-    return list(factorize(n).factors)
 
 
 def _bounded_divisors(fac, hi: int) -> list[int]:
@@ -480,11 +473,12 @@ class _LeafBatch:
     candidates for the last-but-one prime p or their residue class of
     p * q (module docstring).
 
-    At or below `_BATCH_LIMIT`, `add` queues each parent and `flush`
-    closes both queues in int64 numpy once either holds `_FLUSH` lanes.
-    Above it `add` closes each parent at once, in Python ints: it drops a
-    parent whose class is empty, walks a class of fewer than
-    `_CLASS_RATIO` values and loops any other parent's slice.
+    `add` counts each parent's class once and drops the parent when the
+    class is empty.  At or below `_BATCH_LIMIT` it queues the class or the
+    slice, and `flush` closes both queues in int64 numpy once either holds
+    `_FLUSH` lanes.  Above it `add` closes each parent at once, in Python
+    ints: it walks a class of fewer than `_CLASS_RATIO` values and loops
+    any other parent's slice.
     """
 
     def __init__(self, limit: int, tables: _Tables):
@@ -496,7 +490,6 @@ class _LeafBatch:
         # values w = start + j * carry for lo <= j < hi.
         self.classes: list[tuple] = []
         self.pending = self.class_pending = 0  # lanes queued on each
-        self.spf = np.frombuffer(tables.spf, dtype=np.int32)  # a view
 
     def add(self, primes, product, carry, reach, lo, hi, out: list) -> None:
         """Close or queue the parent with children sieve[lo:hi] and reach
@@ -504,37 +497,28 @@ class _LeafBatch:
         if lo >= hi:
             return
         sieve = self.tables.sieve
-        floor = sieve[lo] ** 2
+        start, count = _class_values(product, carry, sieve[lo] ** 2, reach)
+        if not count:
+            return  # an empty class: the parent has no completion
         if self.limit > _BATCH_LIMIT:
-            start, count = _class_values(product, carry, floor, reach)
-            if not count:
-                return  # an empty class: the parent has no completion
             if count < _CLASS_RATIO:
                 self._walk_class(primes, product, range(start, reach + 1, carry),
                                  sieve[lo:hi], out)
             else:
                 self._loop_slice(primes, product, carry, sieve[lo:hi], out)
             return
-        by_class = (reach < self.tables.spf_limit
-                    and reach // carry + 1 < _CLASS_RATIO * (hi - lo))
-        # The range (floor, reach] holds a whole period of the class unless
-        # reach - floor < carry, so only then can the class be empty.
-        if by_class or reach - floor < carry:
-            start, count = _class_values(product, carry, floor, reach)
-            if not count:
-                return  # an empty class: the parent has no completion
-            if by_class:
-                head = (primes, product, carry, sieve[lo], sieve[hi - 1], start)
-                # Both queues are cut into pieces of at most _FLUSH lanes.
-                jlo = 0
-                while jlo < count:
-                    take = min(count - jlo, _FLUSH - self.class_pending)
-                    self.classes.append(head + (jlo, jlo + take))
-                    self.class_pending += take
-                    jlo += take
-                    if self.class_pending >= _FLUSH:
-                        self.flush(out)
-                return
+        if reach < self.tables.spf_limit and count < _CLASS_RATIO * (hi - lo):
+            head = (primes, product, carry, sieve[lo], sieve[hi - 1], start)
+            # Both queues are cut into pieces of at most _FLUSH lanes.
+            jlo = 0
+            while jlo < count:
+                take = min(count - jlo, _FLUSH - self.class_pending)
+                self.classes.append(head + (jlo, jlo + take))
+                self.class_pending += take
+                jlo += take
+                if self.class_pending >= _FLUSH:
+                    self.flush(out)
+            return
         while lo < hi:
             take = min(hi - lo, _FLUSH - self.pending)
             self.parents.append((primes, product, carry, reach, lo, lo + take))
@@ -580,12 +564,13 @@ class _LeafBatch:
         w = np.array(starts, dtype=np.int64)[owner] + step * carry
         # p = spf(w) must be a candidate of the parent's slice; spf is 0
         # for a prime w (and for 1).
-        p = self.spf[w >> 1].astype(np.int64)
+        spf = self.tables.spf
+        p = spf[w >> 1].astype(np.int64)
         keep = np.flatnonzero((p >= np.array(pmins, dtype=np.int64)[owner])
                               & (p <= np.array(pmaxs, dtype=np.int64)[owner]))
         owner, w, p = owner[keep], w[keep], p[keep]
         q = w // p
-        keep = np.flatnonzero((q > p) & (self.spf[q >> 1] == 0))
+        keep = np.flatnonzero((q > p) & (spf[q >> 1] == 0))
         owner, w, p, q = owner[keep], w[keep], p[keep], q[keep]
         # carry | P * w - 1 by construction; p - 1 and q - 1 must divide it.
         nm1 = np.array(products, dtype=np.int64)[owner] * w - 1
@@ -784,24 +769,25 @@ def enumerate_carmichael(
 ) -> Catalog:
     """The complete ascending catalog of Carmichael numbers < limit.
 
-    Every worker count runs the same batches of tasks; the worker count
-    only chooses where they run: in this process for one worker (or a
-    single batch), on a fork pool otherwise.  `progress(done, total)`
-    counts finished tasks after each batch.  Output is independent of the
-    worker count.
+    The worker count is capped at `default_worker_count()`.  `_chunk` cuts
+    the tasks into about 8 batches per worker, and each batch runs through
+    `_worker_run`: in this process for one worker (or a single batch), on
+    a fork pool otherwise.  `progress(done, total)` counts finished tasks
+    after each batch.  Output is independent of the worker count.
     """
     config.validate()
+    workers = min(config.worker_count, default_worker_count())
     tables = _Tables.for_limit(config.limit, config.d_min)
     tasks = _seed_tasks(config, tables)
     jobs = [(config.limit, config.d_min, batch)
-            for batch in _chunk(tasks, config.worker_count)]
+            for batch in _chunk(tasks, workers)]
     raw: list = []
     done = 0
     with contextlib.ExitStack() as stack:
         results = map(_worker_run, jobs)
-        if config.worker_count > 1 and len(jobs) > 1:
+        if workers > 1 and len(jobs) > 1:
             pool = stack.enter_context(
-                get_context("fork").Pool(processes=config.worker_count))
+                get_context("fork").Pool(processes=workers))
             results = pool.imap_unordered(_worker_run, jobs)
         for count, part in results:
             raw.extend(part)

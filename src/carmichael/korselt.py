@@ -137,7 +137,7 @@ def oracle_enumerate(limit: int) -> list[CarmichaelEntry]:
     if limit <= 3:
         return entries
     top = limit - 1
-    spf = smallest_factor_table(top)
+    spf = memoryview(smallest_factor_table(top))  # Python ints
     for n in range(9, limit, 2):
         p = spf[n >> 1]
         if p == 0:

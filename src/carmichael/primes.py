@@ -26,7 +26,6 @@ fails, naming its search task.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +85,18 @@ def prime_sieve(limit: int) -> list[int]:
     return values.tolist()
 
 
-def smallest_factor_table(limit: int) -> array:
+def smallest_factor_table(limit: int) -> np.ndarray:
     """Smallest-prime-factor table for odd numbers, limit // 2 + 1 entries.
 
     Entry i describes the odd number 2*i + 1; the value is its smallest
-    prime factor, or 0 when 2*i + 1 is prime (or 1).
+    prime factor, or 0 when 2*i + 1 is prime (or 1).  The entries are
+    uint16, which is exact because none exceeds isqrt(limit) < 2**16, so
+    limit must be below 2**32.  Python readers index `memoryview(table)`,
+    which yields Python ints; numpy scalars would keep uint16 arithmetic.
     """
-    return array("i", _odd_sieve(limit, np.int32).tobytes())
+    if limit >= 1 << 32:
+        raise ValueError(f"smallest-factor table limit {limit} >= 2**32")
+    return _odd_sieve(limit, np.uint16)
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:

@@ -1,6 +1,8 @@
 import math
+import os
 import random
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +10,7 @@ from carmichael import enumerator
 from carmichael.arith import iroot
 from carmichael.enumerator import (
     EnumerationConfig,
+    _chunk,
     _complete_final,
     _child_end,
     _run_task_impl,
@@ -262,6 +265,41 @@ def test_worker_counts_agree():
         if reference is None:
             reference = cat.entries
         assert cat.entries == reference
+
+
+def test_workers_are_capped_at_the_cpu_count(monkeypatch):
+    # A stub pool maps in this process, so no process is started.
+    pools, batches = [], []
+
+    class Pool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, jobs):
+            return map(fn, jobs)
+
+    run = enumerator._worker_run
+
+    def worker_run(job):
+        batches.append(job[2])
+        return run(job)
+
+    monkeypatch.setattr(enumerator, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(enumerator, "_worker_run", worker_run)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = EnumerationConfig(10**7, worker_count=100_000)
+    cat = enumerate_carmichael(config)
+    assert pools == [2]
+    tasks = _seed_tasks(config, _Tables.for_limit(config.limit))
+    assert batches == _chunk(tasks, 2)
+    assert cat.entries == oracle_enumerate(10**7)
 
 
 def test_emitted_entries_satisfy_invariants():

@@ -129,6 +129,30 @@ def test_every_leaf_parent_below_1e9(monkeypatch):
     assert routes.classes and routes.slices  # the engine's ratio takes both
 
 
+def test_one_class_count_routes_each_parent_below_2_62(monkeypatch):
+    # No flush: each parent's queue shows the route `add` chose.
+    monkeypatch.setattr(enumerator, "_FLUSH", 1 << 62)
+    limit = 10**9
+    tables = _Tables.for_limit(limit)
+    routes = {"class": 0, "slice": 0, "empty": 0, "below the estimate": 0}
+    for parent in every_leaf_parent(limit, tables):
+        primes, product, carry, lo, hi = parent
+        batch, reach = _LeafBatch(limit, tables), (limit - 1) // product
+        add_parent(batch, parent, [])
+        count = class_size(parent, limit, tables)
+        by_class = (reach < tables.spf_limit
+                    and count < enumerator._CLASS_RATIO * (hi - lo))
+        queued = "empty" if count == 0 else "class" if by_class else "slice"
+        assert (bool(batch.classes), bool(batch.parents)) == (
+            queued == "class", queued == "slice")
+        routes[queued] += 1
+        # Counted over all of [1, R] instead of (pmin**2, R], some classes
+        # would be too long for the class route.
+        if by_class and reach // carry + 1 >= enumerator._CLASS_RATIO * (hi - lo):
+            routes["below the estimate"] += 1
+    assert all(routes.values()), routes
+
+
 @pytest.mark.parametrize("limit, d", [(10**9, None), (2**64, 12)])
 def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
     routes = RouteSpy(monkeypatch)

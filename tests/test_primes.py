@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from carmichael.enumerator import _bounded_divisors
+from carmichael.enumerator import _bounded_divisors, _factor_fast, _Tables
 from carmichael.primes import (
     Factorization,
     factorize,
@@ -59,6 +60,32 @@ def test_smallest_factor_table_values():
             assert spf[n >> 1] == 0
         else:
             assert spf[n >> 1] == smallest
+
+
+def test_smallest_factor_table_is_uint16_below_2_32(monkeypatch):
+    assert smallest_factor_table(2**23).dtype == np.uint16
+
+    def allocate(*args):
+        raise AssertionError("allocated a table at 2**32")
+
+    monkeypatch.setattr("carmichael.primes._odd_sieve", allocate)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        smallest_factor_table(2**32)
+
+
+def test_table_factoring_gives_python_ints():
+    tables = _Tables.for_limit(10**12)
+    top = tables.spf_limit
+    rng = random.Random(16)
+    # Primes and products with a prime factor above 2**16, powers of two
+    # and of 3, and random numbers: divisors far above uint16's range.
+    numbers = [top - 1, 2**22, 3**14, 65537 * 127, 65537, 2 * 4194301]
+    numbers += [rng.randrange(2, top) for _ in range(3000)]
+    for n in numbers:
+        fac = _factor_fast(n, tables)
+        assert fac == list(factorize(n).factors), n
+        assert all(type(p) is int and type(e) is int for p, e in fac), n
+        assert sorted(_bounded_divisors(fac, n)) == divisors(n), n
 
 
 def test_is_prime_record_values():
