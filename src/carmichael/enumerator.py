@@ -18,7 +18,8 @@ the search:
   by R ends the children (`_child_end`); at m = 2 the end stays
   p <= isqrt(R).  Neither bound excludes a viable prefix, which is what
   makes the tree exhaustive.  At 2**64 and above, for d = 13..17, the
-  window bound cuts the nodes visited from 1.08M to 0.62M.
+  window bound cuts the nodes visited from 1.08M to 0.62M, and the
+  class cut of a node of d - 3 primes (below) to 0.27M.
 
   Each list stops after its first product above the largest R it has
   served, which is exact: every later product is larger still, so no
@@ -29,6 +30,20 @@ the search:
   or `enumerate` measured reaches them.  `_descend` hands each child the
   index of the prime after it, where the child's own slice starts, so a
   node's bound costs one bisection.
+
+  A node of d - 3 primes is also bounded by the residue class of the
+  product of its last three primes.  Every completion N = P * w, with
+  w = p * p' * q and sieve[lo] <= p < p' < q, has L | N - 1, so
+  w = P^-1 (mod L); and windows[3][lo] <= w <= R, as the i-th smallest
+  of p, p', q is at least the i-th prime from sieve[lo].  Where the list
+  stops short of lo, which only the root bound allows, sieve[lo]**3 < w
+  serves instead.  So when the class has no value in that range the node
+  has no completion, and `_LeafBatch.add_children` closes it with one
+  `pow`.  That closes 3 of 3,110 such nodes at 10**11, 46 of 10,314 at
+  10**12, 45,559 of 168,832 at 2**63 with d = 11..12, and 69,114 of
+  121,226 for `smallest` d = 13..17, where `_descend` calls fall from
+  622K to 266K.  The same cut at m = 4 and 5 remaining primes closes
+  4,997 of 57,567 and 56 of 31,779 nodes there, and measured no faster.
 
 * Pruning.  If any prime s divides both P and L then s divides both N and
   N - 1 for every completion N of the prefix, which is impossible; those
@@ -57,10 +72,12 @@ Batched leaf layer
 ------------------
 Nearly all of the work is closing leaves, and most leaves emit nothing:
 at 10**11 the first term t of the progression already exceeds
-rmax = (limit - 1) // (P * p) for 87% of them.  So the descent stops one
-level early, at d - 2 primes, and hands each such leaf parent, with its
-reach R = (limit - 1) // P and its slice of the sieve (the candidates p
-for the last-but-one prime), to a `_LeafBatch`.
+rmax = (limit - 1) // (P * p) for 87% of them.  So the descent stops two
+levels early, at d - 3 primes, and hands each node there to a
+`_LeafBatch`, whose `add_children` forms the node's leaf parents of
+d - 2 primes, each with its reach R = (limit - 1) // P and its slice of
+the sieve (the candidates p for the last-but-one prime).  A task root of
+d - 2 primes (d = 3 and 4) is itself a leaf parent, for `add`.
 
 At or below 2**62 (`_BATCH_LIMIT`) the batch queues the parent.  Once
 `_FLUSH` = 2**14 candidates are queued, across tasks, one int64 numpy
@@ -94,7 +111,7 @@ at most p + L2, and the Euclid's cofactors and products stay within
 2 * L2.  So every value formed is below 2 * limit <= 2**63.
 
 Above 2**62 (the deep `smallest` bounds) P2 leaves int64, and the batch
-queues nothing: `add` closes each parent at once, in Python ints,
+queues nothing: `_route` closes each parent at once, in Python ints,
 through its residue class (below).
 
 Residue-class route
@@ -105,16 +122,21 @@ N - 1 = P * w - 1, so w = c (mod L) with c = P^-1 (mod L).  And
 pmin**2 < p * q = w <= R, where pmin = sieve[lo] is the slice's first
 candidate.  `_class_values` gives the first value and the count there.
 
-`add` counts the class of every parent with a non-empty slice, with one
-`pow` (about 1.4 us), and that count alone routes the parent.  A count
-of 0 closes the parent at every limit: every completion has w in the
-class and in (pmin**2, R], so when the class has no value there the
-parent has no completion.  That closes 9,328 of 57,338 parents at
-10**11 and 53,252 of 234,314 at 10**12.
+`add`, and the loop of `add_children` over a node's children, count the
+class of every parent with a non-empty slice, with one `pow` (about
+1.4 us), and that count alone routes the parent (`_route`).  The loop
+skips a child p when sieve[after]**2 >= R // p, where the slice or the
+range of w is empty, and ends a slice only when its class is not.  A
+count of 0 closes the parent at every limit: every completion has w in
+the class and in (pmin**2, R], so when the class has no value there the
+parent has no completion.  That closes 9,326 of 57,336 parents at
+10**11 and 53,205 of 234,266 at 10**12.  The same argument for
+w = p * p' * q closes a node of d - 3 primes before any of its children
+is formed (Bounding).
 
 `_CLASS_RATIO` caps the class route's work per slice candidate.  At or
 below 2**62 the flush looks each class value up in the smallest-factor
-table, so `add` queues the class instead of the slice when its count is
+table, so `_route` queues the class instead of the slice when its count is
 below `_CLASS_RATIO` times the slice's candidates and R < tables.spf_limit
 (at most `_SPF_CAP` = 2**23), so that the table covers every w and q.
 The flush walks w = c + j * L through the range, indexing the uint16
@@ -131,14 +153,15 @@ per candidate.  Ratios of 8, 16 and 32 ran equally fast at 10**11 and
 R < 2**23; and P * w <= P * R < limit <= 2**62.
 
 Above 2**62 no table covers w.  There a class of fewer than
-`_CLASS_RATIO` values is walked by `add` itself: for each w it takes the
+`_CLASS_RATIO` values is walked by `_route` itself: for each w it takes the
 first slice candidate p that divides w, and emits P * w when
 q = w // p is a prime above p and `korselt_witness` passes.  A walk costs
 |class| trial divisions per candidate, so the ratio caps its work as
 below 2**62.  Any other parent with a class loops its slice, pruning
 each candidate as `_descend` does and closing it with `_complete_final`.
-For d = 13..17, of 357K parents that cuts 343K, walks 13K (23K class
-values) and loops 238 (12K candidates).
+For d = 13..17, below the nodes the cut of their grandparents keeps, of
+212K parents that cuts 199K, walks 13K (23K class values) and loops 238
+(12K candidates).
 
 Completeness: let N = P * p * q < limit be Carmichael with p in the
 slice and q > p prime.  Korselt gives L | N - 1, so w = p * q is one of
@@ -460,8 +483,13 @@ def _class_values(product: int, carry: int, floor: int,
                   reach: int) -> tuple[int, int]:
     """First value and count of the w = P^-1 (mod L) in (floor, reach].
 
-    The first value is at most floor + L, so the count is never negative;
-    it may exceed what `len` of a range can hold.
+    The first value is at most floor + L, so the count is never negative
+    when floor <= reach.  Each caller ensures that: `add` by a non-empty
+    slice, whose first candidate's square is at most R (`_child_end` at
+    m = 2); `add_children` for its node by lo < hi, which puts
+    windows[3][lo] and sieve[lo]**3 at most R (`_child_end` at m = 3),
+    and for a child by skipping it when floor >= R.  The count may exceed
+    what `len` of a range can hold.
     """
     c = pow(product, -1, carry)
     start = floor + 1 + (c - floor - 1) % carry
@@ -473,12 +501,16 @@ class _LeafBatch:
     candidates for the last-but-one prime p or their residue class of
     p * q (module docstring).
 
-    `add` counts each parent's class once and drops the parent when the
-    class is empty.  At or below `_BATCH_LIMIT` it queues the class or the
-    slice, and `flush` closes both queues in int64 numpy once either holds
-    `_FLUSH` lanes.  Above it `add` closes each parent at once, in Python
-    ints: it walks a class of fewer than `_CLASS_RATIO` values and loops
-    any other parent's slice.
+    `add_children` takes a node of d - 3 primes, drops it when its class
+    of p * p' * q is empty, and forms the leaf parent of each child that
+    passes the descent's prune; `add` takes a task root that is a leaf
+    parent.  Both count each parent's class once, drop the parent when
+    the class is empty and hand it to `_route`.  At or below
+    `_BATCH_LIMIT` `_route` queues the class or the slice, and `flush`
+    closes both queues in int64 numpy once either holds `_FLUSH` lanes.
+    Above it `_route` closes each parent at once, in Python ints: it walks
+    a class of fewer than `_CLASS_RATIO` values and loops any other
+    parent's slice.
     """
 
     def __init__(self, limit: int, tables: _Tables):
@@ -496,10 +528,48 @@ class _LeafBatch:
         R = (limit - 1) // P."""
         if lo >= hi:
             return
+        floor = self.tables.sieve[lo] ** 2
+        start, count = _class_values(product, carry, floor, reach)
+        if count:  # an empty class: the parent has no completion
+            self._route(primes, product, carry, reach, lo, hi, start, count,
+                        out)
+
+    def add_children(self, primes, product, carry, reach, lo, hi,
+                     out: list) -> None:
+        """Close or queue the leaf parents below a node of d - 3 primes
+        with children sieve[lo:hi] and reach R = (limit - 1) // P.
+
+        The node is closed when its class of w = p * p' * q is empty.  Each
+        child passing the descent's prune forms its parent, which the
+        parent's own class count closes or routes, as in `add`; the slice
+        end is found only for a non-empty class.
+        """
+        if lo >= hi:
+            return
+        tables = self.tables
+        sieve, windows = tables.sieve, tables.windows[3]
+        floor = windows[lo] - 1 if lo < len(windows) else sieve[lo] ** 3
+        if not _class_values(product, carry, floor, reach)[1]:
+            return
+        # The last prime of the sieve leaves its parent an empty slice.
+        hi = min(hi, len(sieve) - 1)
+        for after, p in enumerate(sieve[lo:hi], lo + 1):
+            if carry % p == 0 or math.gcd(product, p - 1) != 1:
+                continue
+            reach2, floor = reach // p, sieve[after] ** 2
+            if floor >= reach2:
+                continue  # an empty slice, or an empty range of w
+            product2, carry2 = product * p, math.lcm(carry, p - 1)
+            start, count = _class_values(product2, carry2, floor, reach2)
+            if count:
+                self._route(primes + (p,), product2, carry2, reach2, after,
+                            _child_end(reach2, 2, tables), start, count, out)
+
+    def _route(self, primes, product, carry, reach, lo, hi, start, count,
+               out: list) -> None:
+        """Close or queue a parent whose class holds `count` values from
+        `start` (`_class_values`)."""
         sieve = self.tables.sieve
-        start, count = _class_values(product, carry, sieve[lo] ** 2, reach)
-        if not count:
-            return  # an empty class: the parent has no completion
         if self.limit > _BATCH_LIMIT:
             if count < _CLASS_RATIO:
                 self._walk_class(primes, product, range(start, reach + 1, carry),
@@ -669,12 +739,20 @@ def _descend(
     leaves: _LeafBatch,
     lo: int,
 ) -> None:
-    """Search below the prefix, whose children start at sieve[lo]."""
+    """Search below the prefix, whose children start at sieve[lo].
+
+    A node of d - 3 primes hands its children to `leaves.add_children`,
+    which forms their leaf parents; a task root of d - 2 primes is a leaf
+    parent itself, for `leaves.add`.
+    """
     k = len(primes)
     reach = (limit - 1) // product
     hi = _child_end(reach, d - k, tables)
     if k == d - 2:
         leaves.add(primes, product, carry, reach, lo, hi, out)
+        return
+    if k == d - 3:
+        leaves.add_children(primes, product, carry, reach, lo, hi, out)
         return
     for after, p in enumerate(tables.sieve[lo:hi], lo + 1):
         if carry % p == 0 or math.gcd(product, p - 1) != 1:

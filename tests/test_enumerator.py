@@ -150,20 +150,30 @@ def test_child_range_is_tighter_than_the_root_bound():
 
 
 def test_smallest_with_13_factors_visits_the_same_nodes(monkeypatch):
-    # Every `_descend` call over the bounds `smallest_with_factors(13)`
+    # The `_descend` calls, the nodes of d - 3 primes and the leaf parents
+    # whose class is counted over the bounds `smallest_with_factors(13)`
     # doubles through, as in BENCH_smallest.json: how a node bounds its
     # children may change, the nodes it visits may not.
-    nodes = 0
-    descend = enumerator._descend
+    counts = {"nodes": 0, "grandparents": 0, "class counts": 0}
 
-    def spy(*args):
-        nonlocal nodes
-        nodes += 1
-        descend(*args)
+    def counting(name, fn):
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+        return spy
 
-    monkeypatch.setattr(enumerator, "_descend", spy)
+    monkeypatch.setattr(enumerator, "_descend",
+                        counting("nodes", enumerator._descend))
+    monkeypatch.setattr(enumerator, "_class_values",
+                        counting("class counts", enumerator._class_values))
+    monkeypatch.setattr(_LeafBatch, "add_children",
+                        counting("grandparents", _LeafBatch.add_children))
     assert smallest_with_factors(13).value == 1791562810662585767521
-    assert nodes == 180962
+    # One class count cuts or keeps each node of d - 3 primes; the rest
+    # close or route leaf parents.
+    assert counts["nodes"] == 66610
+    assert counts["grandparents"] == 36415
+    assert counts["class counts"] - counts["grandparents"] == 87044
 
 
 def test_complete_final_completing_561():

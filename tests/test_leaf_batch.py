@@ -1,18 +1,22 @@
 """The leaf layer against the engine's own scalar leaf.
 
-`_LeafBatch` closes leaf parents (prefixes of d - 2 primes);
-`_complete_final`, run on each candidate of a parent's slice after the
-descent's prune, is the scalar leaf it replaces.  Both are run here on
-the same parents and must emit the same numbers.  At or below 2**62 the
-batch queues a parent and closes it in int64 numpy through its slice or
-through the residue class of p * q.  Above 2**62 `add` closes it at once
-in Python ints: an empty class cuts it, a class of fewer than
-`_CLASS_RATIO` values is walked, and any other parent loops its slice.
-The route tests force each route through `_CLASS_RATIO` = 0 and 10**9.
-A walk keeps w = p * q through the first slice candidate p dividing it;
-every completion N = P * p * q has w in the class, and the slice
-candidates dividing w are p and possibly q > p, so p is that first
-candidate, which the tests check on completions whose q lies in the slice.
+`_LeafBatch` closes leaf parents (prefixes of d - 2 primes).  The search
+hands it each node of d - 3 primes (`add_children`), which is cut when
+its residue class of w = p * p' * q is empty and otherwise forms its
+children's leaf parents, and the task roots that are leaf parents
+(`add`); both end in `_route`.  `_complete_final`, run on each candidate
+of a parent's slice after the descent's prune, is the scalar leaf the
+batch replaces.  Both are run here on the same parents and must emit
+the same numbers.  At or below 2**62 the batch queues a parent and
+closes it in int64 numpy through its slice or through the residue class
+of p * q.  Above 2**62 `_route` closes it at once in Python ints: an
+empty class cuts it first, a class of fewer than `_CLASS_RATIO` values
+is walked, and any other parent loops its slice.  The route tests force
+each route through `_CLASS_RATIO` = 0 and 10**9.  A walk keeps
+w = p * q through the first slice candidate p dividing it; every
+completion N = P * p * q has w in the class, and the slice candidates
+dividing w are p and possibly q > p, so p is that first candidate,
+which the tests check on completions whose q lies in the slice.
 """
 
 import math
@@ -27,6 +31,7 @@ from carmichael.arith import iroot
 from carmichael.catalog import write_catalog
 from carmichael.enumerator import (
     EnumerationConfig,
+    _build_tables,
     _child_end,
     _class_values,
     _complete_final,
@@ -73,12 +78,28 @@ def test_inverse_mod_raises_on_a_lane_without_inverse():
 
 
 class _Recorder(_LeafBatch):
-    """A `_LeafBatch` that keeps the parents `_descend` adds, unflushed."""
+    """A `_LeafBatch` that keeps what the search hands it, and queues
+    nothing: the task roots that are leaf parents (`add`), the nodes of
+    d - 3 primes (`add_children`) and the leaf parents either routes."""
+
+    def __init__(self, limit, tables):
+        super().__init__(limit, tables)
+        self.roots, self.nodes, self.routed = [], [], []
 
     def add(self, primes, product, carry, reach, lo, hi, out):
         assert reach == (self.limit - 1) // product
         if lo < hi:
-            self.parents.append((primes, product, carry, lo, hi))
+            self.roots.append((primes, product, carry, lo, hi))
+        super().add(primes, product, carry, reach, lo, hi, out)
+
+    def add_children(self, primes, product, carry, reach, lo, hi, out):
+        assert reach == (self.limit - 1) // product
+        self.nodes.append((primes, product, carry, lo, hi))
+        super().add_children(primes, product, carry, reach, lo, hi, out)
+
+    def _route(self, primes, product, carry, reach, lo, hi, start, count, out):
+        assert reach == (self.limit - 1) // product
+        self.routed.append((primes, product, carry, lo, hi))
 
 
 def scalar_leaves(parents, limit, tables):
@@ -107,14 +128,43 @@ def batched_leaves(parents, limit, tables):
     return sorted(out)
 
 
-def every_leaf_parent(limit, tables, d=None):
-    """The leaf parents `_descend` queues in a whole search below limit,
-    for every factor count or for d alone."""
+def record(limit, tables, d=None):
+    """A `_Recorder` of a whole search below limit, for every factor count
+    or for d alone."""
     recorder = _Recorder(limit, tables)
     config = EnumerationConfig(limit, d_min=d or 3, d_max=d)
     for task in _seed_tasks(config, tables):
         _run_task_impl(task, limit, tables, recorder, False)
-    return recorder.parents
+    return recorder
+
+
+def every_leaf_parent(limit, tables, d=None):
+    """The leaf parents the search routes below limit: those `add` and
+    the loop of `add_children` form whose class is not empty."""
+    return record(limit, tables, d).routed
+
+
+def children(nodes, limit, tables):
+    """The leaf parents below nodes of d - 3 primes: each child p pruned
+    as `_descend` does, with its slice ended at isqrt(R / p), if not
+    empty."""
+    sieve, parents = tables.sieve, []
+    for primes, product, carry, lo, hi in nodes:
+        for after, p in enumerate(sieve[lo:hi], lo + 1):
+            if carry % p == 0 or math.gcd(product, p - 1) != 1:
+                continue
+            product2 = product * p
+            end = bisect_right(sieve, math.isqrt((limit - 1) // product2))
+            if after < end:
+                parents.append((primes + (p,), product2,
+                                math.lcm(carry, p - 1), after, end))
+    return parents
+
+
+def all_leaf_parents(recorder, tables):
+    """Every leaf parent with a non-empty slice in a recorded search,
+    those below the nodes the cut closes included."""
+    return recorder.roots + children(recorder.nodes, recorder.limit, tables)
 
 
 def test_every_leaf_parent_below_1e9(monkeypatch):
@@ -135,7 +185,7 @@ def test_one_class_count_routes_each_parent_below_2_62(monkeypatch):
     limit = 10**9
     tables = _Tables.for_limit(limit)
     routes = {"class": 0, "slice": 0, "empty": 0, "below the estimate": 0}
-    for parent in every_leaf_parent(limit, tables):
+    for parent in all_leaf_parents(record(limit, tables), tables):
         primes, product, carry, lo, hi = parent
         batch, reach = _LeafBatch(limit, tables), (limit - 1) // product
         add_parent(batch, parent, [])
@@ -157,7 +207,8 @@ def test_one_class_count_routes_each_parent_below_2_62(monkeypatch):
 def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
     routes = RouteSpy(monkeypatch)
     tables = _Tables.for_limit(limit, d or 3)
-    parents = every_leaf_parent(limit, tables, d)
+    recorder = record(limit, tables, d)
+    parents = all_leaf_parents(recorder, tables)
     empty = []
     for primes, product, carry, lo, hi in parents:
         batch, closed = _LeafBatch(limit, tables), routes.closed_at_once()
@@ -185,6 +236,94 @@ def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
         assert sum(hi - lo for *_, lo, hi in routes.slices) > 0
     else:
         assert routes.walks and routes.loops
+    # The search routes parents with a class only; the others it drops
+    # lie below the nodes the cut closes, and have no completion either.
+    routed, live = set(recorder.routed), set(parents) - set(empty)
+    assert routed <= live
+    assert scalar_leaves(live - routed, limit, tables) == []
+
+
+class ClassSpy:
+    """The (floor, count) of every `_class_values` call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        class_values = enumerator._class_values
+
+        def spy(product, carry, floor, reach):
+            start, count = class_values(product, carry, floor, reach)
+            self.calls.append((floor, count))
+            return start, count
+
+        monkeypatch.setattr(enumerator, "_class_values", spy)
+
+
+def add_node(batch, node, out):
+    """`batch.add_children` of a node (primes, product, carry, lo, hi)."""
+    primes, product, carry, lo, hi = node
+    batch.add_children(primes, product, carry, (batch.limit - 1) // product,
+                       lo, hi, out)
+
+
+@pytest.mark.parametrize("limit, d", [(10**9, None), (2**64, 12)])
+def test_an_empty_class_of_three_primes_closes_its_node(monkeypatch, limit,
+                                                        d):
+    tables = _Tables.for_limit(limit, d or 3)
+    nodes = record(limit, tables, d).nodes
+    windows, spy = tables.windows[3], ClassSpy(monkeypatch)
+    cut = []
+    for node in nodes:
+        primes, product, carry, lo, hi = node
+        spy.calls.clear()
+        batch = _Recorder(limit, tables)
+        add_node(batch, node, [])
+        # The first w = p * p' * q = P^-1 (mod L) from the product of the
+        # three consecutive primes from sieve[lo], against R.
+        c = pow(product, -1, carry)
+        w = windows[lo] + (c - windows[lo]) % carry
+        floor, count = spy.calls[0]
+        assert floor == windows[lo] - 1
+        assert (count > 0) == (w <= (limit - 1) // product)
+        if not count:
+            # One class count, and no child formed.
+            assert len(spy.calls) == 1 and not batch.routed
+            cut.append(node)
+    # Exact: the nodes the cut closes have no completion.
+    assert 0 < len(cut) < len(nodes)
+    assert scalar_leaves(children(cut, limit, tables), limit, tables) == []
+
+
+def test_past_the_window_lists_the_cut_takes_sieve_lo_cubed(monkeypatch):
+    # Primes to 2**10: every window of three fits R >= 1019**3, so the
+    # root bound ends the children, and the window list stops two short
+    # of the sieve.  Each node (a, 1013) hands on its children from
+    # sieve[lo] = 1019, where p * p' * q > 1019**3.
+    tables = _build_tables.__wrapped__(2**10, 4096)
+    sieve, spy = tables.sieve, ClassSpy(monkeypatch)
+    lo = bisect_right(sieve, 1013)
+    nodes = cut = 0
+    for reach in (1019**3 + 10**5, 1021**3 + 10**5):
+        for a in sieve[1:lo - 1]:
+            product, carry = a * 1013, math.lcm(a - 1, 1012)
+            if math.gcd(product, carry) != 1:
+                continue
+            limit = product * reach + 1
+            hi = _child_end(reach, 3, tables)
+            assert len(tables.windows[3]) <= lo < hi
+            node = ((a, 1013), product, carry, lo, hi)
+            spy.calls.clear()
+            batch, out = _LeafBatch(limit, tables), []
+            add_node(batch, node, out)
+            batch.flush(out)
+            floor, count = spy.calls[0]
+            assert floor == 1019**3
+            parents = children([node], limit, tables)
+            assert sorted(out) == scalar_leaves(parents, limit, tables)
+            nodes += 1
+            if not count:
+                assert len(spy.calls) == 1
+                cut += 1
+    assert 0 < cut < nodes
 
 
 def chernick_parents(limit, tables, count, factors=3):
@@ -334,7 +473,7 @@ def test_the_terms_are_expanded_in_many_pieces(monkeypatch, piece):
 
 class RouteSpy:
     """What each flush hands to the class route and to the slice route, and
-    the parents `add` walks or loops at once above 2**62."""
+    the parents `_route` walks or loops at once above 2**62."""
 
     def __init__(self, monkeypatch):
         self.classes, self.slices, self.walks, self.loops = [], [], [], []
@@ -495,7 +634,7 @@ def test_random_leaf_parents_above_2_62(monkeypatch, limit, factors):
     parents, expected = chernick_parents(limit, tables, 5, factors)
     assert len(expected) == 5
     parents += random_parents(random.Random(limit), limit, tables, 10)
-    parents += every_leaf_parent(limit, tables, DEEP[limit])
+    parents += all_leaf_parents(record(limit, tables, DEEP[limit]), tables)
     reference = scalar_leaves(parents, limit, tables)
     assert set(expected) <= set(reference)
     sizes = [class_size(x, limit, tables) for x in parents]
@@ -521,7 +660,7 @@ def test_random_leaf_parents_above_2_62(monkeypatch, limit, factors):
 
 
 def leaf_parent(n, limit, tables):
-    """The leaf parent `_descend` hands on for the Carmichael number n
+    """The leaf parent the search forms for the Carmichael number n
     below limit, and n's primes."""
     primes = tuple(p for p, _ in factorize(n).factors)
     head = primes[:-2]
@@ -593,27 +732,31 @@ def test_each_parent_above_2_62_takes_the_route_its_class_picks(monkeypatch):
     reference = enumerate_carmichael(config).entries
     routes = RouteSpy(monkeypatch)
     sizes, nodes = {}, []
-    add, descend = _LeafBatch.add, enumerator._descend
+    route, descend = _LeafBatch._route, enumerator._descend
 
-    def add_spy(self, primes, product, carry, reach, lo, hi, out):
+    def route_spy(self, primes, product, carry, reach, lo, hi, start, count,
+                  out):
         assert reach == (self.limit - 1) // product
-        if lo < hi:
-            sizes[primes] = class_size((primes, product, carry, lo, hi),
-                                       self.limit, tables)
-        add(self, primes, product, carry, reach, lo, hi, out)
+        # The slice `_descend` would give the parent, and its class count.
+        assert lo < hi == _child_end(reach, 2, tables)
+        sizes[primes] = class_size((primes, product, carry, lo, hi),
+                                   self.limit, tables)
+        assert count == sizes[primes] > 0
+        route(self, primes, product, carry, reach, lo, hi, start, count, out)
 
     def descend_spy(primes, product, carry, d, *rest):
         nodes.append(len(primes))
         descend(primes, product, carry, d, *rest)
 
-    monkeypatch.setattr(_LeafBatch, "add", add_spy)
+    monkeypatch.setattr(_LeafBatch, "_route", route_spy)
     monkeypatch.setattr(enumerator, "_descend", descend_spy)
     assert enumerate_carmichael(config).entries == reference
-    # Every leaf parent goes to `add`; no node of d - 1 primes is visited.
-    assert max(nodes) == 12 - 2
+    # `add_children` forms every leaf parent; no node of d - 2 primes is
+    # visited.
+    assert max(nodes) == 12 - 3
     ratio = enumerator._CLASS_RATIO
     assert sorted(p for p, _ in routes.walks) == sorted(
-        p for p, size in sizes.items() if 0 < size < ratio)
+        p for p, size in sizes.items() if size < ratio)
     assert sorted(routes.loops) == sorted(
         p for p, size in sizes.items() if size >= ratio)
     assert all(size == sizes[p] for p, size in routes.walks)
