@@ -27,9 +27,9 @@ the search:
   list before it is bisected.  When every window that ends inside the
   sieve fits R, the root bound ends the children (`_Tables.window_end`);
   the windows beyond run past the sieve's end, and no run of `smallest`
-  or `enumerate` measured reaches them.  `_descend` hands each child the
-  index of the prime after it, where the child's own slice starts, so a
-  node's bound costs one bisection.
+  or `enumerate` measured reaches them.  `_descend` hands each child its
+  slice: from the index of the prime after it to the child's bound, which
+  costs one bisection.
 
   A node of d - 3 primes is also bounded by the residue class of the
   product of its last three primes.  Every completion N = P * w, with
@@ -76,8 +76,7 @@ rmax = (limit - 1) // (P * p) for 87% of them.  So the descent stops two
 levels early, at d - 3 primes, and hands each node there to a
 `_LeafBatch`, whose `add_children` forms the node's leaf parents of
 d - 2 primes, each with its reach R = (limit - 1) // P and its slice of
-the sieve (the candidates p for the last-but-one prime).  A task root of
-d - 2 primes (d = 3 and 4) is itself a leaf parent, for `add`.
+the sieve (the candidates p for the last-but-one prime).
 
 At or below 2**62 (`_BATCH_LIMIT`) the batch queues the parent.  Once
 `_FLUSH` = 2**14 candidates are queued, across tasks, one int64 numpy
@@ -122,14 +121,14 @@ N - 1 = P * w - 1, so w = c (mod L) with c = P^-1 (mod L).  And
 pmin**2 < p * q = w <= R, where pmin = sieve[lo] is the slice's first
 candidate.  `_class_values` gives the first value and the count there.
 
-`add`, and the loop of `add_children` over a node's children, count the
-class of every parent with a non-empty slice, with one `pow` (about
-1.4 us), and that count alone routes the parent (`_route`).  The loop
-skips a child p when sieve[after]**2 >= R // p, where the slice or the
-range of w is empty, and ends a slice only when its class is not.  A
-count of 0 closes the parent at every limit: every completion has w in
-the class and in (pmin**2, R], so when the class has no value there the
-parent has no completion.  That closes 9,326 of 57,336 parents at
+The loop of `add_children` over a node's children counts the class of
+every parent with a non-empty slice, with one `pow` (about 1.4 us), and
+that count alone routes the parent (`_route`).  The loop skips a child
+p when sieve[after]**2 >= R // p, where the slice or the range of w is
+empty, and ends a slice only when its class is not.  A count of 0
+closes the parent at every limit: every completion has w in the class
+and in (pmin**2, R], so when the class has no value there the parent
+has no completion.  That closes 9,326 of 57,336 parents at
 10**11 and 53,205 of 234,266 at 10**12.  The same argument for
 w = p * p' * q closes a node of d - 3 primes before any of its children
 is formed (Bounding).
@@ -178,13 +177,16 @@ or not.  The descent's prune needs no check of its own: p | L, or a
 prime of P dividing p - 1, would make that prime divide both N and
 N - 1.
 
-Work is partitioned into subtree tasks seeded by the first one or two
-prefix primes, and `_chunk` cuts the tasks into about 8 batches per
-worker (8 at 10**11 on one worker and 16 on two; 9 and 17 at 10**12),
-each run by `_worker_run` under one leaf batch, in this process or on a
-fork pool.  Workers are capped at the CPU count.  Results are merged,
-sorted and checked for duplicates, so output is identical for any
-worker count and any flush boundaries.
+Work is partitioned into tasks (d, prefix, lo, hi), the children
+sieve[lo:hi] of one node of at most d - 3 primes: the root () for d = 3
+and (p1,) deeper.  `_seed_tasks` gives each child a task of its own, and
+any cut of a node's children into ranges searches the same tree.
+`_chunk` cuts the tasks into about 8 batches per worker (8 at 10**11 on
+one worker and 16 on two; 9 and 17 at 10**12), each run by `_worker_run`
+under one leaf batch, in this process or on a fork pool.  Workers are
+capped at the CPU count.  Results are merged, sorted and checked for
+duplicates, so output is identical for any worker count and any flush
+boundaries.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ _SPF_CAP = 1 << 23
 # walk of the class costs |class| trial divisions per candidate.
 _CLASS_RATIO = 16
 # The leaf batch queues parents at or below this limit, where every value
-# its int64 lanes form stays below 2 * limit; above it `_LeafBatch.add`
+# its int64 lanes form stays below 2 * limit; above it `_LeafBatch._route`
 # closes each parent at once, in Python ints (module docstring).
 _BATCH_LIMIT = 1 << 62
 # Candidate primes, or class values, pending on either queue of the batched
@@ -484,12 +486,11 @@ def _class_values(product: int, carry: int, floor: int,
     """First value and count of the w = P^-1 (mod L) in (floor, reach].
 
     The first value is at most floor + L, so the count is never negative
-    when floor <= reach.  Each caller ensures that: `add` by a non-empty
-    slice, whose first candidate's square is at most R (`_child_end` at
-    m = 2); `add_children` for its node by lo < hi, which puts
-    windows[3][lo] and sieve[lo]**3 at most R (`_child_end` at m = 3),
-    and for a child by skipping it when floor >= R.  The count may exceed
-    what `len` of a range can hold.
+    when floor <= reach.  `add_children`, the only caller, ensures that:
+    for its node by lo < hi, which puts windows[3][lo] and sieve[lo]**3
+    at most R (`_child_end` at m = 3), and for a child by skipping it
+    when floor >= R.  The count may exceed what `len` of a range can
+    hold.
     """
     c = pow(product, -1, carry)
     start = floor + 1 + (c - floor - 1) % carry
@@ -503,9 +504,9 @@ class _LeafBatch:
 
     `add_children` takes a node of d - 3 primes, drops it when its class
     of p * p' * q is empty, and forms the leaf parent of each child that
-    passes the descent's prune; `add` takes a task root that is a leaf
-    parent.  Both count each parent's class once, drop the parent when
-    the class is empty and hand it to `_route`.  At or below
+    passes the descent's prune.  It counts each parent's class once,
+    drops the parent when the class is empty and hands it to `_route`
+    otherwise.  At or below
     `_BATCH_LIMIT` `_route` queues the class or the slice, and `flush`
     closes both queues in int64 numpy once either holds `_FLUSH` lanes.
     Above it `_route` closes each parent at once, in Python ints: it walks
@@ -523,17 +524,6 @@ class _LeafBatch:
         self.classes: list[tuple] = []
         self.pending = self.class_pending = 0  # lanes queued on each
 
-    def add(self, primes, product, carry, reach, lo, hi, out: list) -> None:
-        """Close or queue the parent with children sieve[lo:hi] and reach
-        R = (limit - 1) // P."""
-        if lo >= hi:
-            return
-        floor = self.tables.sieve[lo] ** 2
-        start, count = _class_values(product, carry, floor, reach)
-        if count:  # an empty class: the parent has no completion
-            self._route(primes, product, carry, reach, lo, hi, start, count,
-                        out)
-
     def add_children(self, primes, product, carry, reach, lo, hi,
                      out: list) -> None:
         """Close or queue the leaf parents below a node of d - 3 primes
@@ -541,8 +531,9 @@ class _LeafBatch:
 
         The node is closed when its class of w = p * p' * q is empty.  Each
         child passing the descent's prune forms its parent, which the
-        parent's own class count closes or routes, as in `add`; the slice
-        end is found only for a non-empty class.
+        parent's own class count closes when empty and otherwise hands to
+        `_route`; the slice end is found only for a non-empty class.  This
+        loop is the only place a leaf parent is formed.
         """
         if lo >= hi:
             return
@@ -732,41 +723,41 @@ def _descend(
     primes: tuple[int, ...],
     product: int,
     carry: int,
+    reach: int,
     d: int,
-    limit: int,
     tables: _Tables,
     out: list,
     leaves: _LeafBatch,
     lo: int,
+    hi: int,
 ) -> None:
-    """Search below the prefix, whose children start at sieve[lo].
+    """Search the children sieve[lo:hi] of the prefix, whose reach is
+    R = (limit - 1) // P.
 
-    A node of d - 3 primes hands its children to `leaves.add_children`,
-    which forms their leaf parents; a task root of d - 2 primes is a leaf
-    parent itself, for `leaves.add`.
+    A node of d - 3 primes hands them to `leaves.add_children`, which
+    forms their leaf parents; a shallower node descends into each child
+    p that passes the prune, with reach R // p (flooring by P and then by
+    p floors by P * p) and its own children ending at `_child_end`.
     """
     k = len(primes)
-    reach = (limit - 1) // product
-    hi = _child_end(reach, d - k, tables)
-    if k == d - 2:
-        leaves.add(primes, product, carry, reach, lo, hi, out)
-        return
     if k == d - 3:
         leaves.add_children(primes, product, carry, reach, lo, hi, out)
         return
     for after, p in enumerate(tables.sieve[lo:hi], lo + 1):
         if carry % p == 0 or math.gcd(product, p - 1) != 1:
             continue
+        reach2 = reach // p
         _descend(
             primes + (p,),
             product * p,
             math.lcm(carry, p - 1),
+            reach2,
             d,
-            limit,
             tables,
             out,
             leaves,
             after,
+            _child_end(reach2, d - k - 1, tables),
         )
 
 
@@ -775,23 +766,25 @@ def _descend(
 
 
 def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
-    """Subtree roots: (d, p1) for d = 3, (d, p1, p2) for deeper targets.
+    """Search tasks (d, prefix, lo, hi): the children sieve[lo:hi] of the
+    node `prefix`, which is () for d = 3 and (p1,) for deeper targets.
 
-    Bounds and prune are `_descend`'s; p2 > p1 - 1 = L cannot divide L.
+    Each node's children are cut into tasks of one child each, in
+    (d, p1, p2) order; any cut of [lo, hi) into ranges searches the same
+    tree.  The bounds are `_descend`'s, and the prune is left to
+    `_descend`, which applies it to every child of a task.
     """
     limit, sieve = config.limit, tables.sieve
     tasks: list[tuple] = []
     for d in range(config.d_min, config.resolved_d_max() + 1):
-        # Index 0 of the sieve is 2, so the odd primes start at 1.
+        # Index 0 of the sieve is 2, which the prune of the root
+        # (P = L = 1) lets through, so the odd primes start at 1.
         hi = _child_end(limit - 1, d, tables)
-        for after, p1 in enumerate(sieve[1:hi], 2):
-            if d == 3:
-                tasks.append((d, p1))
-                continue
-            hi2 = _child_end((limit - 1) // p1, d - 1, tables)
-            for p2 in sieve[after:hi2]:
-                if (p2 - 1) % p1:
-                    tasks.append((d, p1, p2))
+        nodes = [((), 1, hi)] if d == 3 else [
+            ((p1,), after, _child_end((limit - 1) // p1, d - 1, tables))
+            for after, p1 in enumerate(sieve[1:hi], 2)]
+        tasks += [(d, prefix, i, i + 1)
+                  for prefix, lo, end in nodes for i in range(lo, end)]
     return tasks
 
 
@@ -802,18 +795,18 @@ def _run_task_impl(
     leaves: _LeafBatch,
     last: bool,
 ) -> list:
-    """Search one subtree; return what was emitted during this call.
+    """Search one task (d, prefix, lo, hi); return what was emitted during
+    this call.
 
     The emissions include those of the flushes this call made, which may
     complete earlier tasks' leaves; `last` flushes what is still pending,
-    so every emission leaves through this function.  The task's slice
-    start is found here, once; `_descend` hands its children theirs.
+    so every emission leaves through this function.
     """
-    primes = tuple(task[1:])
+    d, primes, lo, hi = task
+    product = math.prod(primes)
     out: list = []
-    _descend(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
-             task[0], limit, tables, out, leaves,
-             bisect_right(tables.sieve, primes[-1]))
+    _descend(primes, product, math.lcm(*(p - 1 for p in primes)),
+             (limit - 1) // product, d, tables, out, leaves, lo, hi)
     if last:
         leaves.flush(out)
     return out
@@ -838,7 +831,9 @@ def _worker_run(job: tuple) -> tuple[int, list]:
                 _run_task_impl(task, limit, tables, leaves, i == len(tasks) - 1)
             )
         except Exception as exc:
-            raise RuntimeError(f"search task {task} failed: {exc}") from exc
+            d, prefix, lo, hi = task
+            raise RuntimeError(f"search task d={d} prefix={prefix} children "
+                               f"[{lo}, {hi}) failed: {exc}") from exc
     return len(tasks), out
 
 

@@ -26,6 +26,7 @@ fails, naming its search task.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,12 @@ def _odd_sieve(limit: int, dtype) -> np.ndarray:
     0 marks a prime (or 1).  The odd primes up to isqrt(limit) are stored
     with strided numpy writes, largest prime first, so the smallest factor
     wins; entries are exact for numbers up to limit.  With dtype bool an
-    entry only says whether 2*i + 1 is composite.
+    entry only says whether 2*i + 1 is composite.  The entries get their
+    own private anonymous mapping, freed with the array: on the heap, a
+    rebuilt 8 MiB table could find its old space split and grow the heap.
     """
-    sieve = np.zeros(limit // 2 + 1, dtype=dtype)
+    size = (limit // 2 + 1) * np.dtype(dtype).itemsize
+    sieve = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE), dtype)
     for p in reversed(prime_sieve(math.isqrt(limit))[1:]):
         sieve[p * p // 2 :: p] = p
     return sieve

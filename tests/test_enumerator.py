@@ -61,15 +61,57 @@ def test_max_factor_count_rejects_small_limit():
 def test_seed_tasks_cover_every_prefix():
     tables = _Tables.for_limit(10**3)
     # p1 <= iroot(999, 3) = 9, and p1 * p2 * p3 >= 7 * 11 * 13 = 1001
-    # excludes p1 = 7.
-    assert _seed_tasks(EnumerationConfig(10**3), tables) == [(3, 3), (3, 5)]
+    # excludes p1 = 7: the root's children 3 and 5, one task each.
+    assert _seed_tasks(EnumerationConfig(10**3), tables) == [
+        (3, (), 1, 2), (3, (), 2, 3)]
     limit = 10**6
-    tasks = set(_seed_tasks(EnumerationConfig(limit), _Tables.for_limit(limit)))
+    tables = _Tables.for_limit(limit)
+    tasks = _seed_tasks(EnumerationConfig(limit), tables)
+    # The root's range starts past the prime 2, which its prune passes.
+    assert all(lo >= 1 for _, _, lo, _ in tasks)
+    assert {len(prefix) for d, prefix, _, _ in tasks if d > 3} == {1}
     entries = oracle_enumerate(limit)
     assert {len(e.factors) for e in entries} == {3, 4, 5}
     for e in entries:
-        d = len(e.factors)
-        assert (d, *e.factors[:1 if d == 3 else 2]) in tasks
+        # Each entry lies below exactly one task: its prefix, then a child
+        # in the task's range.
+        owners = [task for task in tasks if task[0] == len(e.factors)
+                  and e.factors[:len(task[1])] == task[1]
+                  and e.factors[len(task[1])] in tables.sieve[task[2]:task[3]]]
+        assert len(owners) == 1, (e, owners)
+
+
+def joined(tasks):
+    """Each node's tasks joined into one task of all its children."""
+    nodes = {}
+    for d, prefix, lo, hi in tasks:
+        start, end = nodes.get((d, prefix), (lo, lo))
+        assert end == lo  # a node's tasks are neighbours, in order
+        nodes[d, prefix] = (start, hi)
+    return [(d, prefix, lo, hi) for (d, prefix), (lo, hi) in nodes.items()]
+
+
+def cut(tasks, rng):
+    """Each task's range cut at up to three random points, some pieces
+    empty."""
+    out = []
+    for d, prefix, lo, hi in tasks:
+        cuts = sorted(rng.randint(lo, hi) for _ in range(rng.randint(0, 3)))
+        out += [(d, prefix, a, b) for a, b in zip([lo, *cuts], [*cuts, hi])]
+    return out
+
+
+@pytest.mark.parametrize("limit, d", [(10**7, None), (2**64, 12)])
+def test_any_cut_of_the_task_ranges_gives_the_same_catalog(monkeypatch,
+                                                           limit, d):
+    config = EnumerationConfig(limit, d_min=d or 3, d_max=d)
+    reference = enumerate_carmichael(config).entries
+    assert len(reference) == (105 if d is None else 5)
+    seed, rng = enumerator._seed_tasks, random.Random(limit)
+    for recut in (joined, lambda tasks: cut(joined(tasks), rng)):
+        monkeypatch.setattr(enumerator, "_seed_tasks",
+                            lambda *args: recut(seed(*args)))
+        assert enumerate_carmichael(config).entries == reference
 
 
 def brute_child_range(primes, d, limit, sieve):
@@ -153,7 +195,8 @@ def test_smallest_with_13_factors_visits_the_same_nodes(monkeypatch):
     # The `_descend` calls, the nodes of d - 3 primes and the leaf parents
     # whose class is counted over the bounds `smallest_with_factors(13)`
     # doubles through, as in BENCH_smallest.json: how a node bounds its
-    # children may change, the nodes it visits may not.
+    # children may change, the nodes it visits may not.  Each task, one
+    # child of a node (p1,), is one `_descend` call of that node.
     counts = {"nodes": 0, "grandparents": 0, "class counts": 0}
 
     def counting(name, fn):
@@ -171,7 +214,7 @@ def test_smallest_with_13_factors_visits_the_same_nodes(monkeypatch):
     assert smallest_with_factors(13).value == 1791562810662585767521
     # One class count cuts or keeps each node of d - 3 primes; the rest
     # close or route leaf parents.
-    assert counts["nodes"] == 66610
+    assert counts["nodes"] == 66845
     assert counts["grandparents"] == 36415
     assert counts["class counts"] - counts["grandparents"] == 87044
 
@@ -196,21 +239,23 @@ def test_complete_final_empty_for_3_5():
 @pytest.mark.parametrize("batched", [False, True])
 def test_descend_closes_prefixes_with_prime_pairs(monkeypatch, batched):
     if not batched:
-        # Every limit is above the batch's: `add` closes each parent at once.
+        # Every limit is above the batch's: `_route` closes each parent at
+        # once.
         monkeypatch.setattr(enumerator, "_BATCH_LIMIT", 0)
 
-    def pairs(prefix, limit):
+    def pairs(p1, limit):
+        # The task of the root's child p1, for d = 3.
         tables = _Tables.for_limit(limit)
         leaves = _LeafBatch(limit, tables)
-        out = _run_task_impl((len(prefix) + 2, *prefix), limit, tables, leaves,
-                             False)
+        i = tables.sieve.index(p1)
+        out = _run_task_impl((3, (), i, i + 1), limit, tables, leaves, False)
         assert bool(leaves.parents) == batched
         leaves.flush(out)
         return sorted(fs[-2:] for _, fs in out)
 
-    assert pairs((7,), 10**4) == [(13, 19), (13, 31), (19, 67), (23, 41)]
-    assert pairs((3,), 10**4) == [(11, 17)]
-    assert pairs((3,), 560) == []
+    assert pairs(7, 10**4) == [(13, 19), (13, 31), (19, 67), (23, 41)]
+    assert pairs(3, 10**4) == [(11, 17)]
+    assert pairs(3, 560) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -221,7 +266,9 @@ def test_a_crashing_search_task_names_itself(monkeypatch, workers):
     monkeypatch.setattr(enumerator, "_complete_final", crash)
     config = EnumerationConfig(10**6, worker_count=workers)
     with pytest.raises(
-        RuntimeError, match=r"^search task \(\d+(, \d+)+\) failed: boom at \("
+        RuntimeError,
+        match=r"^search task d=\d+ prefix=\((\d+,)?\) children \[\d+, \d+\) "
+              r"failed: boom at \("
     ) as info:
         enumerate_carmichael(config)
     if workers == 1:

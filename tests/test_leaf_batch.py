@@ -3,20 +3,21 @@
 `_LeafBatch` closes leaf parents (prefixes of d - 2 primes).  The search
 hands it each node of d - 3 primes (`add_children`), which is cut when
 its residue class of w = p * p' * q is empty and otherwise forms its
-children's leaf parents, and the task roots that are leaf parents
-(`add`); both end in `_route`.  `_complete_final`, run on each candidate
-of a parent's slice after the descent's prune, is the scalar leaf the
-batch replaces.  Both are run here on the same parents and must emit
-the same numbers.  At or below 2**62 the batch queues a parent and
-closes it in int64 numpy through its slice or through the residue class
-of p * q.  Above 2**62 `_route` closes it at once in Python ints: an
-empty class cuts it first, a class of fewer than `_CLASS_RATIO` values
-is walked, and any other parent loops its slice.  The route tests force
-each route through `_CLASS_RATIO` = 0 and 10**9.  A walk keeps
-w = p * q through the first slice candidate p dividing it; every
-completion N = P * p * q has w in the class, and the slice candidates
-dividing w are p and possibly q > p, so p is that first candidate,
-which the tests check on completions whose q lies in the slice.
+children's leaf parents: one class count each, then `_route` for a class
+that is not empty.  `add_parent` makes those two calls for a parent the
+test chooses.  `_complete_final`, run on each candidate of a parent's
+slice after the descent's prune, is the scalar leaf the batch replaces.
+Both are run here on the same parents and must emit the same numbers.
+At or below 2**62 the batch queues a parent and closes it in int64
+numpy through its slice or through the residue class of p * q.  Above
+2**62 `_route` closes it at once in Python ints: an empty class cuts it
+first, a class of fewer than `_CLASS_RATIO` values is walked, and any
+other parent loops its slice.  The route tests force each route through
+`_CLASS_RATIO` = 0 and 10**9.  A walk keeps w = p * q through the first
+slice candidate p dividing it; every completion N = P * p * q has w in
+the class, and the slice candidates dividing w are p and possibly
+q > p, so p is that first candidate, which the tests check on
+completions whose q lies in the slice.
 """
 
 import math
@@ -79,18 +80,12 @@ def test_inverse_mod_raises_on_a_lane_without_inverse():
 
 class _Recorder(_LeafBatch):
     """A `_LeafBatch` that keeps what the search hands it, and queues
-    nothing: the task roots that are leaf parents (`add`), the nodes of
-    d - 3 primes (`add_children`) and the leaf parents either routes."""
+    nothing: the nodes of d - 3 primes (`add_children`) and the leaf
+    parents their loop routes."""
 
     def __init__(self, limit, tables):
         super().__init__(limit, tables)
-        self.roots, self.nodes, self.routed = [], [], []
-
-    def add(self, primes, product, carry, reach, lo, hi, out):
-        assert reach == (self.limit - 1) // product
-        if lo < hi:
-            self.roots.append((primes, product, carry, lo, hi))
-        super().add(primes, product, carry, reach, lo, hi, out)
+        self.nodes, self.routed = [], []
 
     def add_children(self, primes, product, carry, reach, lo, hi, out):
         assert reach == (self.limit - 1) // product
@@ -115,9 +110,17 @@ def scalar_leaves(parents, limit, tables):
 
 
 def add_parent(batch, parent, out):
-    """`batch.add` of a parent (primes, product, carry, lo, hi)."""
+    """Close or queue a parent (primes, product, carry, lo, hi) by the two
+    calls the loop of `add_children` makes: its class count, then
+    `_route` when the class is not empty."""
     primes, product, carry, lo, hi = parent
-    batch.add(primes, product, carry, (batch.limit - 1) // product, lo, hi, out)
+    reach = (batch.limit - 1) // product
+    if lo < hi:
+        floor = batch.tables.sieve[lo] ** 2
+        start, count = _class_values(product, carry, floor, reach)
+        if count:
+            batch._route(primes, product, carry, reach, lo, hi, start, count,
+                         out)
 
 
 def batched_leaves(parents, limit, tables):
@@ -139,15 +142,16 @@ def record(limit, tables, d=None):
 
 
 def every_leaf_parent(limit, tables, d=None):
-    """The leaf parents the search routes below limit: those `add` and
-    the loop of `add_children` form whose class is not empty."""
+    """The leaf parents the search routes below limit: those the loop of
+    `add_children` forms whose class is not empty."""
     return record(limit, tables, d).routed
 
 
 def children(nodes, limit, tables):
     """The leaf parents below nodes of d - 3 primes: each child p pruned
     as `_descend` does, with its slice ended at isqrt(R / p), if not
-    empty."""
+    empty.  Of a recorded search's nodes, every leaf parent with a
+    non-empty slice, those below the nodes the cut closes included."""
     sieve, parents = tables.sieve, []
     for primes, product, carry, lo, hi in nodes:
         for after, p in enumerate(sieve[lo:hi], lo + 1):
@@ -159,12 +163,6 @@ def children(nodes, limit, tables):
                 parents.append((primes + (p,), product2,
                                 math.lcm(carry, p - 1), after, end))
     return parents
-
-
-def all_leaf_parents(recorder, tables):
-    """Every leaf parent with a non-empty slice in a recorded search,
-    those below the nodes the cut closes included."""
-    return recorder.roots + children(recorder.nodes, recorder.limit, tables)
 
 
 def test_every_leaf_parent_below_1e9(monkeypatch):
@@ -180,12 +178,12 @@ def test_every_leaf_parent_below_1e9(monkeypatch):
 
 
 def test_one_class_count_routes_each_parent_below_2_62(monkeypatch):
-    # No flush: each parent's queue shows the route `add` chose.
+    # No flush: each parent's queue shows the route `_route` chose.
     monkeypatch.setattr(enumerator, "_FLUSH", 1 << 62)
     limit = 10**9
     tables = _Tables.for_limit(limit)
     routes = {"class": 0, "slice": 0, "empty": 0, "below the estimate": 0}
-    for parent in all_leaf_parents(record(limit, tables), tables):
+    for parent in children(record(limit, tables).nodes, limit, tables):
         primes, product, carry, lo, hi = parent
         batch, reach = _LeafBatch(limit, tables), (limit - 1) // product
         add_parent(batch, parent, [])
@@ -208,7 +206,7 @@ def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
     routes = RouteSpy(monkeypatch)
     tables = _Tables.for_limit(limit, d or 3)
     recorder = record(limit, tables, d)
-    parents = all_leaf_parents(recorder, tables)
+    parents = children(recorder.nodes, limit, tables)
     empty = []
     for primes, product, carry, lo, hi in parents:
         batch, closed = _LeafBatch(limit, tables), routes.closed_at_once()
@@ -634,7 +632,8 @@ def test_random_leaf_parents_above_2_62(monkeypatch, limit, factors):
     parents, expected = chernick_parents(limit, tables, 5, factors)
     assert len(expected) == 5
     parents += random_parents(random.Random(limit), limit, tables, 10)
-    parents += all_leaf_parents(record(limit, tables, DEEP[limit]), tables)
+    parents += children(record(limit, tables, DEEP[limit]).nodes, limit,
+                        tables)
     reference = scalar_leaves(parents, limit, tables)
     assert set(expected) <= set(reference)
     sizes = [class_size(x, limit, tables) for x in parents]
@@ -744,9 +743,9 @@ def test_each_parent_above_2_62_takes_the_route_its_class_picks(monkeypatch):
         assert count == sizes[primes] > 0
         route(self, primes, product, carry, reach, lo, hi, start, count, out)
 
-    def descend_spy(primes, product, carry, d, *rest):
+    def descend_spy(primes, *rest):
         nodes.append(len(primes))
-        descend(primes, product, carry, d, *rest)
+        descend(primes, *rest)
 
     monkeypatch.setattr(_LeafBatch, "_route", route_spy)
     monkeypatch.setattr(enumerator, "_descend", descend_spy)

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import numpy as np
@@ -71,6 +72,22 @@ def test_smallest_factor_table_is_uint16_below_2_32(monkeypatch):
     monkeypatch.setattr("carmichael.primes._odd_sieve", allocate)
     with pytest.raises(ValueError, match="2\\*\\*32"):
         smallest_factor_table(2**32)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the resident size from Linux's /proc")
+def test_a_rebuilt_smallest_factor_table_gives_its_memory_back():
+    # A table in its own mapping leaves the resident size when freed,
+    # whatever the heap looks like, so a rebuild cannot grow the heap.
+    def resident():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    smallest_factor_table(2**23)  # built and freed, as by an earlier run
+    table = smallest_factor_table(2**23)  # 8 MiB, every page written
+    before = resident()
+    del table
+    assert before - resident() >= 7 * 2**20
 
 
 def test_table_factoring_gives_python_ints():
