@@ -64,9 +64,14 @@ each sufficient to enumerate candidates exhaustively:
   residue class covers all solutions (the divisor route).
 
 Either route alone is complete; `_complete_final` picks per leaf whichever
-is cheaper (the progression when it is short, divisors otherwise) and
-re-verifies every emitted value against Korselt's criterion, so a
-bookkeeping bug cannot silently inflate the catalog.
+is cheaper (the progression when it is short, divisors otherwise).  Every
+emission meets both conditions, and they make N Carmichael: its primes are
+distinct and at least three, L | N - 1 covers those of P, and
+(q - 1) | N - 1 covers q.  So no route re-checks Korselt's criterion.
+`enumerate_carmichael` validates every merged entry in full and raises
+`RuntimeError` on the first that fails: a route whose arithmetic is wrong
+stops the run, where a re-check inside the route would drop the bad
+number and hide the fault.
 
 Batched leaf layer
 ------------------
@@ -86,10 +91,10 @@ lane-wise extended Euclid (`_inverse_mod`) and drops the lanes with no
 term in (p, rmax].  It tests every progression of at most
 `_LONG_PROGRESSION` terms as (P2 - 1) % (r - 1) == 0, expanding the
 terms about `_PIECE` at a time so that memory does not grow with the
-spans; only the hits reach `is_prime` and the Korselt re-check, and
-`_complete_final` closes the longer ones by the divisor route.  The
-batch spans tasks because per-prefix or per-task batches are too small
-to pay for numpy's per-call cost.  Flushes of 2**14 to 2**16 candidates
+spans; only the hits reach `is_prime`, and `_complete_final` closes the
+longer ones by the divisor route.  The batch spans tasks because
+per-prefix or per-task batches are too small to pay for numpy's per-call
+cost.  Flushes of 2**14 to 2**16 candidates
 run equally fast at 10**11 and 10**12, 2**13 is 15% slower, and larger
 flushes hold more memory: at 10**11, over six runs in one process, peak
 RSS is 48.4 MiB with 2**14 and 64.5 MiB with 2**16, against 40.7 MiB
@@ -152,21 +157,21 @@ The flush walks w = c + j * L through the range, indexing the uint16
 `tables.spf` in place, and keeps w when
 * p = spf(w) lies in [sieve[lo], sieve[hi - 1]], the slice's range;
 * q = w // p exceeds p and is prime (spf(q) = 0);
-* p - 1 and q - 1 both divide P * w - 1;
-and re-checks every kept w with `korselt_witness`.  No inverse is taken
-per candidate.  At 10**11 the class route takes 43.7K of 57.3K leaf
-parents: 6.5M class values replace 2.6M of the 4.8M slice candidates,
-and the flush costs about 30 ns per class value against several hundred
-per candidate.  Ratios of 8, 16 and 32 ran equally fast at 10**11 and
+* p - 1 and q - 1 both divide P * w - 1.
+L divides P * w - 1 as w lies in the class, so a kept w makes P * w
+Carmichael.  No inverse is taken per candidate.  At 10**11 the class
+route takes 43.7K of 57.3K leaf parents: 6.5M class values replace 2.6M
+of the 4.8M slice candidates, and the flush costs about 30 ns per class
+value against several hundred per candidate.  Ratios of 8, 16 and 32 ran equally fast at 10**11 and
 10**12.  Int64 is exact: every w walked, and so j * L and q, is at most
 R < 2**23; and P * w <= P * R < limit <= 2**62.
 
 Above 2**62 no table covers w.  There a class of fewer than
-`_CLASS_RATIO` values is walked by `_route` itself: for each w it takes the
-first slice candidate p that divides w, and emits P * w when
-q = w // p is a prime above p and `korselt_witness` passes.  A walk costs
-|class| trial divisions per candidate, so the ratio caps its work as
-below 2**62.  Any other parent with a class loops its slice, pruning
+`_CLASS_RATIO` values is walked by `_walk_class`: for each w it takes the
+first slice candidate p that divides w, and keeps w by the flush's tests:
+q = w // p is a prime above p, and p - 1 and q - 1 both divide P * w - 1.
+A walk costs |class| trial divisions per candidate, so the ratio caps its
+work as below 2**62.  Any other parent with a class loops its slice, pruning
 each candidate as `_descend` does and closing it with `_complete_final`.
 For d = 13..17, below the nodes the cut of their grandparents keeps, of
 212K parents that cuts 199K, walks 13K (23K class values) and loops 238
@@ -174,17 +179,17 @@ For d = 13..17, below the nodes the cut of their grandparents keeps, of
 
 Completeness: let N = P * p * q < limit be Carmichael with p in the
 slice and q > p prime.  Korselt gives L | N - 1, so w = p * q is one of
-the class values walked.  Below 2**62, p < q are prime, so spf(w) = p,
-which lies in the slice's range, and q = w // p is a prime above p; and
-Korselt gives (p - 1) | N - 1 and (q - 1) | N - 1.  Above it, the only
-slice candidates dividing w are p and, when it lies in the slice, q;
-p < q, so p is the first, and q = w // p is a prime above p; N is
-Carmichael, so `korselt_witness` passes.  Either way w is kept and N
-emitted.  Conversely every emission is Carmichael (`korselt_witness` on
-all its primes) and has the form above, which the slice route closes
-completely, so the routes emit the same numbers for any slice, partial
-or not.  The descent's prune needs no check of its own: p | L, or a
-prime of P dividing p - 1, would make that prime divide both N and
+the class values walked, and (p - 1) | N - 1 and (q - 1) | N - 1.  Below
+2**62, p < q are prime, so spf(w) = p, which lies in the slice's range,
+and q = w // p is a prime above p.  Above it, the only slice candidates
+dividing w are p and, when it lies in the slice, q; p < q, so p is the
+first, and q = w // p is a prime above p.  Either way w is kept and N
+emitted.  Conversely every emission has the form above and is
+Carmichael: L | N - 1 from the class, and the kept w gives
+(p - 1) | N - 1 and (q - 1) | N - 1.  The slice route closes those
+numbers completely, so the routes emit the same numbers for any slice,
+partial or not.  The descent's prune needs no check of its own: p | L,
+or a prime of P dividing p - 1, would make that prime divide both N and
 N - 1.
 
 Work is partitioned into tasks (d, prefix, lo, hi), the children
@@ -197,7 +202,8 @@ tasks at 10**11 and 5 or 13 at 10**12), each run by `_worker_run` under
 one leaf batch, in this process or on a fork pool.  Workers are
 capped at the CPU count.  Results are merged, sorted and checked for
 duplicates, so output is identical for any worker count and any flush
-boundaries.
+boundaries; the merge also validates every entry, the engine's one full
+check of Korselt's criterion.
 """
 
 from __future__ import annotations
@@ -216,7 +222,7 @@ import numpy as np
 
 from .arith import iroot
 from .catalog import Catalog, complete_provenance
-from .korselt import CarmichaelEntry, korselt_witness
+from .korselt import CarmichaelEntry
 from .primes import factorize, is_prime, prime_sieve, smallest_factor_table
 
 __all__ = [
@@ -426,7 +432,9 @@ def _complete_final(
     """Emit every Carmichael P*q < limit extending a d-1 prime prefix.
 
     gcd(P, L) = 1 holds by construction (pruned during descent), so the
-    inverse below always exists.
+    inverse below always exists.  Each route keeps a prime q with
+    q = P^-1 (mod L) and (q - 1) | (P - 1), which make P * q Carmichael
+    (module docstring), so neither re-checks Korselt's criterion.
     """
     rmax = (limit - 1) // product
     p_last = primes[-1]
@@ -442,20 +450,15 @@ def _complete_final(
         r = t if t > p_last else t + ((p_last - t) // carry + 1) * carry
         while r <= rmax:
             if pm1 % (r - 1) == 0 and is_prime(r):
-                n = product * r
-                if korselt_witness(n, primes + (r,)) is None:
-                    out.append((n, primes + (r,)))
+                out.append((product * r, primes + (r,)))
             r += carry
     else:
         for e in _bounded_divisors(_factor_fast(pm1, tables), rmax - 1):
             q = e + 1
             if q <= p_last or q % carry != t % carry:
                 continue
-            if not is_prime(q):
-                continue
-            n = product * q
-            if korselt_witness(n, primes + (q,)) is None:
-                out.append((n, primes + (q,)))
+            if is_prime(q):
+                out.append((product * q, primes + (q,)))
 
 
 def _inverse_mod(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -533,7 +536,9 @@ class _LeafBatch:
     closes both queues in int64 numpy once either holds `_FLUSH` lanes.
     Above it `_route` closes each parent at once, in Python ints: it walks
     a class of fewer than `_CLASS_RATIO` values and loops any other
-    parent's slice.
+    parent's slice.  The arithmetic that keeps an emission proves it
+    Carmichael (module docstring), so no route re-checks Korselt's
+    criterion; the merge of `enumerate_carmichael` validates every entry.
     """
 
     def __init__(self, limit: int, tables: _Tables):
@@ -612,15 +617,16 @@ class _LeafBatch:
 
     def _walk_class(self, primes, product, values, candidates, out) -> None:
         """Emit P * w for each class value w = p * q with p the first of
-        the candidates dividing w and q = w // p a prime above p."""
+        the candidates dividing w, q = w // p a prime above p, and p - 1
+        and q - 1 dividing P * w - 1: the flush's tests, which with
+        L | P * w - 1 from the class make P * w Carmichael."""
         for w in values:
             for p in candidates:
                 if w % p == 0:
-                    q = w // p
-                    if q > p and is_prime(q):
-                        n = product * w
-                        if korselt_witness(n, primes + (p, q)) is None:
-                            out.append((n, primes + (p, q)))
+                    q, n = w // p, product * w
+                    if (q > p and (n - 1) % (p - 1) == 0
+                            and (n - 1) % (q - 1) == 0 and is_prime(q)):
+                        out.append((n, primes + (p, q)))
                     break
 
     def _loop_slice(self, primes, product, carry, candidates, out) -> None:
@@ -660,10 +666,8 @@ class _LeafBatch:
         hits = np.flatnonzero((nm1 % (p - 1) == 0) & (nm1 % (q - 1) == 0))
         for i in hits.tolist():
             o = int(owner[i])
-            primes = heads[o] + (int(p[i]), int(q[i]))
-            n = products[o] * int(w[i])
-            if korselt_witness(n, primes) is None:
-                out.append((n, primes))
+            out.append((products[o] * int(w[i]),
+                        heads[o] + (int(p[i]), int(q[i]))))
 
     def _close_slices(self, parents: list, out: list) -> None:
         heads, products, carries, reaches, los, his = zip(*parents)
@@ -714,10 +718,8 @@ class _LeafBatch:
             hits = np.flatnonzero((product[lane] - 1) % (r - 1) == 0)
             for i, q in zip(lane[hits].tolist(), r[hits].tolist()):
                 if is_prime(q):
-                    primes = heads[owner[i]] + (int(p[i]), q)
-                    n = int(product[i]) * q
-                    if korselt_witness(n, primes) is None:
-                        out.append((n, primes))
+                    out.append((int(product[i]) * q,
+                                heads[owner[i]] + (int(p[i]), q)))
 
 
 def _child_end(reach: int, m: int, tables: _Tables) -> int:
@@ -912,7 +914,11 @@ def enumerate_carmichael(
             raise AssertionError(f"duplicate emission for {n}")
         previous = n
         entry = CarmichaelEntry(n, fs)
-        entry.validate()
+        try:
+            entry.validate()
+        except ValueError as exc:
+            raise RuntimeError(f"the search emitted a number that is not "
+                               f"Carmichael: {exc}") from exc
         entries.append(entry)
     # No worker count here: it provably does not affect the content, and
     # equal catalogs must serialize byte-identically.

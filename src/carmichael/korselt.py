@@ -69,8 +69,8 @@ def korselt_witness(n: int, primes: Iterable[int]) -> int | None:
     """The first p in `primes` with p - 1 not dividing n - 1, or None.
 
     This is the divisibility clause of Korselt's criterion, shared by
-    `CarmichaelEntry.validate`, `korselt_failure` and the enumerator's
-    re-check of every number it emits.
+    `CarmichaelEntry.validate` (which checks every entry the enumerator
+    merges) and `korselt_failure` (behind `carmichael verify`).
     """
     nm1 = n - 1
     for p in primes:

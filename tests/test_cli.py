@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from carmichael import cli, primes, stats
+from carmichael import cli, enumerator, primes, stats
 from carmichael.catalog import merge, read_catalog, write_catalog
 from carmichael.cli import exact_int, main
 
@@ -130,6 +130,22 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _, _ = run_cli("nonsense")
     assert code == 2
+
+
+def test_an_engine_fault_is_a_runtime_error(monkeypatch, tmp_path):
+    # A wrong catalog is not a usage error (exit 2): the fault escapes
+    # `main`, so the process exits 1, as for a crashing search task.
+    class_values = enumerator._class_values
+
+    def shifted(*args):
+        start, count = class_values(*args)
+        return start + 2, count
+
+    monkeypatch.setattr(enumerator, "_class_values", shifted)
+    out = tmp_path / "c.txt"
+    with pytest.raises(RuntimeError, match="63895231"):
+        main(["enumerate", "--limit", "1e8", "--jobs", "1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_oracle_count(capsys):

@@ -277,6 +277,21 @@ def test_a_crashing_search_task_names_itself(monkeypatch, workers):
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
+def test_a_route_fault_stops_the_run(monkeypatch):
+    # A class start outside its residue class breaks the flush's arithmetic;
+    # the merge's validation must stop the run, not drop the bad numbers.
+    class_values = enumerator._class_values
+
+    def shifted(*args):
+        start, count = class_values(*args)
+        return start + 2, count
+
+    monkeypatch.setattr(enumerator, "_class_values", shifted)
+    with pytest.raises(RuntimeError, match="63895231") as info:
+        enumerate_carmichael(EnumerationConfig(10**8))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_counts_finished_tasks(workers):
     config = EnumerationConfig(10**7, worker_count=workers)
