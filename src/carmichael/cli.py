@@ -29,7 +29,7 @@ from .enumerator import (
     enumerate_carmichael,
     max_factor_count,
 )
-from .extremal import DETERMINISTIC_PRIMALITY_MAX_D, smallest_with_factors
+from .extremal import smallest_with_factors
 from .korselt import CarmichaelEntry, korselt_failure, oracle_enumerate
 from .primes import FactoringBudgetExceeded, factorize
 from .stats import (
@@ -139,14 +139,26 @@ def _cmd_enumerate(args) -> int:
 def _cmd_smallest(args) -> int:
     jobs = args.jobs if args.jobs is not None else default_worker_count()
     entry = smallest_with_factors(args.factors, worker_count=jobs)
-    if args.factors > DETERMINISTIC_PRIMALITY_MAX_D:
-        print(
-            f"note: factors above 2**64 are BPSW-verified "
-            f"(no deterministic proof at d={args.factors})",
-            file=sys.stderr,
-        )
+    note = _bpsw_note(entry)
+    if note:
+        print(note, file=sys.stderr)
     print(entry)
     return 0
+
+
+def _bpsw_note(entry: CarmichaelEntry) -> str | None:
+    """The caveat a printed entry needs, or None when it needs none.
+
+    `is_prime` proves primality below 2**64 and rests on Baillie-PSW above
+    it.  BPSW never rejects a prime, so the search misses no Carmichael
+    number and minimality holds either way; only a printed factor at or
+    above 2**64 is not proven prime.
+    """
+    big = [p for p in entry.factors if p >= 1 << 64]
+    if not big:
+        return None
+    return (f"note: factors {', '.join(map(str, big))} are at or above 2**64 "
+            f"and BPSW-verified, not proven prime")
 
 
 def _cmd_verify(args) -> int:

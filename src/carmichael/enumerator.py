@@ -71,7 +71,10 @@ distinct and at least three, L | N - 1 covers those of P, and
 `enumerate_carmichael` validates every merged entry in full and raises
 `RuntimeError` on the first that fails: a route whose arithmetic is wrong
 stops the run, where a re-check inside the route would drop the bad
-number and hide the fault.
+number and hide the fault.  A route that loses a number emits only true
+ones, so for a full catalog (every d from 3 up) the merge also compares
+C(10**n) with the published count for every 10**n <= limit
+(`_check_decades`) and raises `RuntimeError` on a mismatch.
 
 Batched leaf layer
 ------------------
@@ -109,7 +112,11 @@ the heap: a second run at 10**10 in one process takes about 200 minor
 page faults instead of 16K, and one at 10**11 about 500 instead of 65K.
 The heap keeps what the flushes free, up to the trim threshold, so
 resident memory after a run at 10**11 is 48.5 MiB against 44.6 MiB at
-the defaults; the peak stops growing after the second run.
+the defaults; the peak stops growing after the second run.  The
+smallest-factor table takes spf_limit bytes in a mapping of its own,
+which fork workers share, as they never write it: at most 8 MiB, or
+64 MiB for a catalog from d = 3 at 2**43 to 2**62 (Residue-class
+route).
 
 The prune gcd(P, p - 1) = 1 of `_descend` holds exactly when no prime of
 the parent divides p - 1, as P is their squarefree product.  So the flush
@@ -151,8 +158,8 @@ is formed (Bounding).
 `_CLASS_RATIO` caps the class route's work per slice candidate.  At or
 below 2**62 the flush looks each class value up in the smallest-factor
 table, so `_route` queues the class instead of the slice when its count is
-below `_CLASS_RATIO` times the slice's candidates and R < tables.spf_limit
-(at most `_SPF_CAP` = 2**23), so that the table covers every w and q.
+below `_CLASS_RATIO` times the slice's candidates and R < tables.spf_limit,
+so that the table covers every w and q.
 The flush walks w = c + j * L through the range, indexing the uint16
 `tables.spf` in place, and keeps w when
 * p = spf(w) lies in [sieve[lo], sieve[hi - 1]], the slice's range;
@@ -162,9 +169,43 @@ L divides P * w - 1 as w lies in the class, so a kept w makes P * w
 Carmichael.  No inverse is taken per candidate.  At 10**11 the class
 route takes 43.7K of 57.3K leaf parents: 6.5M class values replace 2.6M
 of the 4.8M slice candidates, and the flush costs about 30 ns per class
-value against several hundred per candidate.  Ratios of 8, 16 and 32 ran equally fast at 10**11 and
-10**12.  Int64 is exact: every w walked, and so j * L and q, is at most
-R < 2**23; and P * w <= P * R < limit <= 2**62.
+value against several hundred per candidate.  Ratios of 8, 16 and 32 ran
+equally fast at 10**11 and 10**12, and at 10**13 with a table of 2**26.
+Int64 is exact: every w walked, and so j * L and q, is at most
+R < spf_limit <= 2**26; and P * w <= P * R < limit <= 2**62.
+
+The table is sized to what the run reads (`_spf_limit`).  Above 2**62
+nothing is queued, and `_factor_fast` factors a P - 1 above the table by
+`factorize`, so the table is `_SPF_FLOOR` = 2**12.  At or below 2**62
+the class route reads it up to the largest leaf reach, (limit - 1) // P
+with P the product of the d_min - 2 smallest odd primes (the quotient
+that also sizes the sieve), and `_factor_fast` reads it for P - 1, where
+P is at least the product of the d_min - 1 smallest odd primes.  While
+that product is at most the cap (d_min <= 8), some P - 1 can fall inside
+the table, so it is the power of two above the limit; from d_min = 9 on
+no P - 1 can, and it is the power of two above the largest leaf reach.
+Either is capped at `_SPF_BASE` = 2**23, or at `_SPF_TOP` = 2**26 for a
+catalog from d = 3 at a limit of 2**43 or more.  A larger table moves
+leaf parents from the slice route to the class route, and costs its
+build and spf_limit bytes of memory.  Measured in fresh processes
+(BENCH_spf.json):
+* at 10**12 on one worker, 2**24 moves 2.1M of the 13.9M slice lanes
+  and ran no faster than 2**23 (slower in 5 of 6 alternating pairs);
+* at 10**13 on two workers, 2**26 moves 36M of 91M and took less CPU
+  than 2**23 in 10 of 10 alternating pairs, median 33.3 against 40.4 s
+  (-18%), for 56 MiB more peak RSS;
+* at 10**14, one run with 2**26 took 13% less CPU than one with 2**23,
+  and one with 2**28 no less than 2**26;
+* `smallest` d = 10..12 search bounds of 2**43 and more with few
+  leaves: with the larger cap, d = 11 built tables of 2**25 and 2**26
+  for 0.33 s, where its whole search took 0.05 s with 2**23; so only a
+  catalog from d = 3 takes the larger cap.
+No limit between 10**12 and 10**13 was measured, so the step sits at
+2**43 (8.8e12), the last power of two below 10**13.  Both routes are
+complete, so the size changes no catalog.  A leaf of `smallest` d = 13
+below 2**62 reaches at most (2**62 - 1) // (3 * 5 * ... * 37) < 1.25e6,
+so its tables stay at or below 2**21, and d >= 15, which searches only
+above 2**62, needs only the floor.
 
 Above 2**62 no table covers w.  There a class of fewer than
 `_CLASS_RATIO` values is walked by `_walk_class`: for each w it takes the
@@ -213,7 +254,7 @@ import ctypes
 import functools
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -222,7 +263,7 @@ import numpy as np
 
 from .arith import iroot
 from .catalog import Catalog, complete_provenance
-from .korselt import CarmichaelEntry
+from .korselt import PAPER_COUNTS, CarmichaelEntry
 from .primes import factorize, is_prime, prime_sieve, smallest_factor_table
 
 __all__ = [
@@ -235,9 +276,15 @@ __all__ = [
 # this many terms, otherwise enumerate divisors of P - 1.  The leaf batch
 # walks the short progressions itself.
 _LONG_PROGRESSION = 512
-# Smallest-factor table size for fast divisor-route factorizations and
-# for the residue-class route of the leaf batch.
-_SPF_CAP = 1 << 23
+# Smallest-factor table sizes (`_spf_limit`): the floor serves the divisor
+# route's factorizations where nothing else reads a table; every other
+# table is capped at the base, or at the top for a catalog from d = 3 at
+# 2**43 or more.
+_SPF_FLOOR = 1 << 12
+_SPF_BASE = 1 << 23
+_SPF_TOP = 1 << 26
+# The smallest-factor table `_spf_table` serves its prefixes from.
+_spf_kept = np.zeros(0, dtype=np.uint16)
 # A leaf parent is closed through its residue class of p * q instead of its
 # slice when the class holds fewer than this many values per candidate at
 # or below _BATCH_LIMIT, and fewer than this many values above it, where a
@@ -314,16 +361,34 @@ class EnumerationConfig:
                              f"(limit) = {cap}, got [{self.d_min}, {d_max}]")
 
 
-@functools.cache
-def _spf_table(spf_limit: int):
-    # Depends on spf_limit alone, so `smallest` builds it once however
-    # often its doubling bound changes the sieve.
-    return smallest_factor_table(spf_limit)
+def _spf_table(spf_limit: int) -> np.ndarray:
+    # A table's prefix is the table of a smaller limit, so the largest yet
+    # serves every smaller size: `smallest`, whose sizes grow as its bound
+    # doubles and start again at each d, builds each size once at most.
+    # A replaced table lives on only while `_build_tables` holds it.
+    global _spf_kept
+    entries = spf_limit // 2 + 1
+    if len(_spf_kept) < entries:
+        _spf_kept = smallest_factor_table(spf_limit)
+    return _spf_kept[:entries]
+
+
+def _spf_limit(limit: int, d_min: int, reach: int) -> int:
+    """Size of the smallest-factor table for a run from d_min whose leaf
+    parents reach at most `reach` (module docstring, Residue-class route)."""
+    if limit > _BATCH_LIMIT:
+        return _SPF_FLOOR
+    cap = _SPF_TOP if d_min == 3 and limit >= 1 << 43 else _SPF_BASE
+    if min_odd_prime_product(d_min - 1) <= cap:
+        reach = limit  # `_factor_fast` may read P - 1 below the cap
+    return max(_SPF_FLOOR, min(1 << reach.bit_length(), cap))
 
 
 @dataclass
 class _Tables:
-    """Lookup tables shared by the runs whose limits give the same sieve.
+    """Lookup tables shared by the runs whose limits give the same sieve
+    and the same smallest-factor table (`_spf_limit`, from the limit and
+    d_min), which `_build_tables` keys on.
 
     Only the window lists change: they grow as larger reaches need them.
     """
@@ -342,16 +407,14 @@ class _Tables:
 
     @classmethod
     def for_limit(cls, limit: int, d_min: int = 3) -> "_Tables":
-        # The largest sieve-drawn prime is the (d-1)-th, bounded by
-        # iroot(limit/P, 2) with P at least the product of the d_min - 2
-        # smallest odd primes; every shallower position is bounded lower.
-        floor_product = min_odd_prime_product(max(d_min - 2, 1))
-        sieve_top = max(iroot(max(limit - 1, 8) // floor_product, 2), 64)
+        # A leaf parent's P is at least the product of the d_min - 2
+        # smallest odd primes, which bounds its reach R; the largest
+        # sieve-drawn prime, the (d-1)-th, is at most isqrt(R), and every
+        # shallower position is bounded lower.
+        reach = (limit - 1) // min_odd_prime_product(max(d_min - 2, 1))
         # Round up to a power of two so nearby limits share tables.
-        sieve_top = 1 << sieve_top.bit_length()
-        spf_limit = 1 << int(min(_SPF_CAP, max(4096, limit))).bit_length()
-        spf_limit = min(spf_limit, _SPF_CAP)
-        return _build_tables(sieve_top, spf_limit)
+        sieve_top = 1 << max(math.isqrt(reach), 64).bit_length()
+        return _build_tables(sieve_top, _spf_limit(limit, d_min, reach))
 
     def window_end(self, m: int, reach: int) -> int:
         """`_child_end` for a reach that every stored window of m fits.
@@ -883,7 +946,9 @@ def enumerate_carmichael(
     the tasks into about 8 batches per worker, and each batch runs through
     `_worker_run`: in this process for one worker (or a single batch), on
     a fork pool otherwise.  `progress(done, total)` counts finished tasks
-    after each batch.  Output is independent of the worker count.
+    after each batch.  Output is independent of the worker count.  Raises
+    `RuntimeError` when an entry fails Korselt's criterion or, for a full
+    catalog, a published count C(10**n) differs (`_check_decades`).
     """
     config.validate()
     _tune_malloc()  # before the fork pool starts, so workers inherit it
@@ -920,10 +985,31 @@ def enumerate_carmichael(
             raise RuntimeError(f"the search emitted a number that is not "
                                f"Carmichael: {exc}") from exc
         entries.append(entry)
+    full = max_factor_count(config.limit)
+    if (config.d_min, config.resolved_d_max()) == (3, full):
+        _check_decades([entry.value for entry in entries], config.limit)
     # No worker count here: it provably does not affect the content, and
     # equal catalogs must serialize byte-identically.
     return Catalog(entries, complete_provenance(
         config.limit, config.d_min, config.resolved_d_max(), len(entries)))
+
+
+def _check_decades(numbers: list[int], limit: int) -> None:
+    """Raise `RuntimeError` unless the ascending Carmichael numbers below
+    `limit` hold the published count C(10**n) for every 10**n <= limit.
+
+    The merge proves every entry Carmichael, but a route that loses a
+    number emits only true ones; this check catches such a loss wherever
+    a published count lies within the bound.
+    """
+    for n, published in PAPER_COUNTS.items():
+        if 10**n > limit:
+            break
+        found = bisect_left(numbers, 10**n)
+        if found != published:
+            raise RuntimeError(f"the search found {found} Carmichael numbers "
+                               f"below 10**{n}, but the published count is "
+                               f"{published}")
 
 
 def _chunk(tasks: list, workers: int) -> list[list]:

@@ -12,13 +12,7 @@ from .enumerator import (
 )
 from .korselt import CarmichaelEntry
 
-__all__ = ["RecordSet", "smallest_with_factors", "scan_records",
-           "DETERMINISTIC_PRIMALITY_MAX_D"]
-
-# Factor counts whose minimal value stays below 2**64, where the
-# Miller-Rabin ladder gives unconditional primality proofs.  Above this
-# the result rests on Baillie-PSW (no counterexamples known).
-DETERMINISTIC_PRIMALITY_MAX_D = 12
+__all__ = ["RecordSet", "smallest_with_factors", "scan_records"]
 
 
 def smallest_with_factors(d: int, worker_count: int = 1) -> CarmichaelEntry:

@@ -9,7 +9,8 @@ p dividing N.  This module decides membership exactly.
 cross-check the backtracking enumerator: it factors every odd number below
 the limit through a smallest-factor sieve (batch trial division) and
 applies the Korselt divisibility conditions directly, sharing none of the
-enumerator's search machinery.
+enumerator's search machinery.  `PAPER_COUNTS` holds the published
+counts C(10**n) that a full enumeration must reproduce.
 """
 
 from __future__ import annotations
@@ -29,9 +30,18 @@ __all__ = [
     "ALL_BASES",
     "oracle_enumerate",
     "ORACLE_LIMIT_CAP",
+    "PAPER_COUNTS",
 ]
 
 ORACLE_LIMIT_CAP = 10**8
+
+# n -> C(10**n), the number of Carmichael numbers below 10**n: the source
+# paper's counts up to 10**16 and OEIS A055553 at 10**17.
+PAPER_COUNTS = {
+    3: 1, 4: 7, 5: 16, 6: 43, 7: 105, 8: 255, 9: 646, 10: 1547,
+    11: 3605, 12: 8241, 13: 19279, 14: 44706, 15: 105212, 16: 246683,
+    17: 585355,
+}
 
 
 @dataclass(frozen=True, order=True)

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from carmichael import cli, enumerator, primes, stats
 from carmichael.catalog import merge, read_catalog, write_catalog
 from carmichael.cli import exact_int, main
+from carmichael.korselt import CarmichaelEntry
 
 
 def run_cli(*args):
@@ -175,11 +177,27 @@ def test_smallest_record_format(capsys):
     assert capsys.readouterr().out == "41041 7 11 13 41\n"
 
 
-def test_smallest_bpsw_note_goes_to_stderr():
+def test_smallest_bpsw_note_goes_to_stderr(monkeypatch, capsys):
+    # d = 13 is above 2**64, but every printed factor is proven prime.
     code, out, err = run_cli("smallest", "--factors", "13")
     assert code == 0
     assert out == "1791562810662585767521 11 13 17 19 31 37 43 71 73 97 109 113 127\n"
-    assert "BPSW" in err
+    assert err == ""
+    # So is 2**64 - 59, the largest prime below 2**64; the note names each
+    # printed factor at or above 2**64, which rests on BPSW alone.
+    for factors, named in [((3, 5, 2**64 - 59), None),
+                           ((3, 5, 2**64 + 13), f"{2**64 + 13} are"),
+                           ((3, 2**64, 2**64 + 13), f"{2**64}, {2**64 + 13} are")]:
+        entry = CarmichaelEntry(math.prod(factors), factors)
+        monkeypatch.setattr(cli, "smallest_with_factors",
+                            lambda *args, **kw: entry)
+        assert main(["smallest", "--factors", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert out == f"{entry}\n"
+        if named:
+            assert "BPSW" in err and named in err
+        else:
+            assert err == ""
 
 
 def test_stats_outputs(tmp_path, capsys):

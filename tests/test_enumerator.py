@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import math
 import os
 import random
@@ -6,12 +7,15 @@ import resource
 from bisect import bisect_right
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from carmichael import enumerator
 from carmichael.arith import iroot
+from carmichael.catalog import write_catalog
 from carmichael.enumerator import (
     EnumerationConfig,
+    _check_decades,
     _chunk,
     _complete_final,
     _child_end,
@@ -221,6 +225,85 @@ def test_smallest_with_13_factors_visits_the_same_nodes(monkeypatch):
     assert counts["class counts"] - counts["grandparents"] == 87044
 
 
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty table caches for the test, restored afterwards, so that the
+    tables it builds are seen and freed."""
+    monkeypatch.setattr(enumerator, "_build_tables", functools.lru_cache(
+        maxsize=4)(enumerator._build_tables.__wrapped__))
+    monkeypatch.setattr(enumerator, "_spf_kept", np.zeros(0, np.uint16))
+
+
+def test_the_full_catalog_table_steps_from_2_23_to_2_26_at_2_43():
+    # perfbench's paper-1e11 routes by the table at 10**11: it must not move.
+    assert _Tables.for_limit(10**11, 3).spf_limit == 2**23
+    sizes = {limit: enumerator._spf_limit(limit, 3, (limit - 1) // 3)
+             for limit in (10**12, 2**43 - 1, 2**43, 10**13, 2**62)}
+    assert sizes == {10**12: 2**23, 2**43 - 1: 2**23, 2**43: 2**26,
+                     10**13: 2**26, 2**62: 2**26}
+
+
+@pytest.mark.parametrize("d", [11, 12])
+def test_only_the_floor_table_above_2_62(d):
+    # Only the int64 batch reads the table for its routes, and above 2**62
+    # it queues nothing.
+    assert _Tables.for_limit(2**63, d).spf_limit == enumerator._SPF_FLOOR
+    assert _Tables.for_limit(2**62 + 1, d).spf_limit == enumerator._SPF_FLOOR
+
+
+@pytest.mark.parametrize("limit, d, size", [
+    (10**5, 3, 2**17), (10**7, 3, 2**23), (10**9, 7, 2**23),
+    (2**52, 11, 2**21), (2**54, 11, 2**23)])
+def test_the_factor_table_covers_what_the_run_reads(
+        monkeypatch, fresh_tables, limit, d, size):
+    # Up to d = 8 a parent's P - 1 can lie below the cap, where
+    # `_factor_fast` reads it, so the table covers the limit up to the cap;
+    # from d = 9 on no P - 1 can, and it covers the largest leaf reach.
+    tables = _Tables.for_limit(limit, d)
+    assert tables.spf_limit == size
+    reaches, factored = [], []
+    route, factor_fast = _LeafBatch._route, enumerator._factor_fast
+
+    def spy(batch, primes, product, carry, reach, *args):
+        reaches.append(reach)
+        return route(batch, primes, product, carry, reach, *args)
+
+    monkeypatch.setattr(_LeafBatch, "_route", spy)
+    monkeypatch.setattr(enumerator, "_factor_fast",
+                        lambda n, t: factored.append(n) or factor_fast(n, t))
+    enumerate_carmichael(EnumerationConfig(limit, d_min=d, d_max=d))
+    assert reaches and max(reaches) < size
+    assert all(n < size for n in factored if n < enumerator._SPF_BASE)
+
+
+def test_the_catalog_does_not_depend_on_the_factor_table(monkeypatch,
+                                                         fresh_tables,
+                                                         tmp_path):
+    # Both routes are complete, and `_factor_fast` factors above the table.
+    sizes = [enumerator._SPF_FLOOR, 2**21, 2**23, 2**25]
+    for size in sizes:
+        monkeypatch.setattr(enumerator, "_spf_limit", lambda *args: size)
+        cat = enumerate_carmichael(EnumerationConfig(10**9))
+        assert _Tables.for_limit(10**9).spf_limit == size
+        write_catalog(cat, tmp_path / f"{size}.txt")
+    first = (tmp_path / f"{sizes[0]}.txt").read_bytes()
+    assert first.count(b"\n") > 646
+    for size in sizes[1:]:
+        assert (tmp_path / f"{size}.txt").read_bytes() == first, size
+
+
+def test_smallest_builds_only_small_factor_tables(monkeypatch, fresh_tables):
+    # d = 15 searches only above 2**62; d = 13 also below, where a leaf
+    # reaches at most (2**62 - 1) // (3 * 5 * ... * 37) < 2**21.
+    built, build = [], enumerator.smallest_factor_table
+    monkeypatch.setattr(enumerator, "smallest_factor_table",
+                        lambda n: built.append(n) or build(n))
+    assert smallest_with_factors(15).value == 6553130926752006031481761
+    assert built == [enumerator._SPF_FLOOR]
+    assert smallest_with_factors(13).value == 1791562810662585767521
+    assert 1 < len(built) and max(built) <= 2**21
+
+
 def test_complete_final_completing_561():
     # 3030 terms in the progression, so the divisors of 32 are walked.
     assert completions((3, 11), 10**6) == [17]
@@ -290,6 +373,30 @@ def test_a_route_fault_stops_the_run(monkeypatch):
     with pytest.raises(RuntimeError, match="63895231") as info:
         enumerate_carmichael(EnumerationConfig(10**8))
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_a_lost_number_stops_a_full_run(monkeypatch):
+    # A class count one short loses numbers but emits only true ones, so
+    # Korselt's check passes and only the published C(10**n) shows it.
+    class_values = enumerator._class_values
+
+    def short(*args):
+        start, count = class_values(*args)
+        return start, count - 1
+
+    monkeypatch.setattr(enumerator, "_class_values", short)
+    with pytest.raises(RuntimeError, match="the published count is 255"):
+        enumerate_carmichael(EnumerationConfig(10**8))
+
+
+def test_the_decade_check_reads_published_counts_up_to_the_limit():
+    numbers = [e.value for e in oracle_enumerate(10**6)]
+    _check_decades(numbers, 10**6)
+    _check_decades(numbers[:42], 999_999)  # C(10**6) is beyond the limit
+    with pytest.raises(RuntimeError, match="found 42 .* below 10\\*\\*6"):
+        _check_decades(numbers[:42], 10**6)
+    with pytest.raises(RuntimeError, match="found 0 .* below 10\\*\\*3"):
+        _check_decades(numbers[1:], 10**6)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

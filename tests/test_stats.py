@@ -5,7 +5,7 @@ import pytest
 
 from carmichael.catalog import Catalog
 from carmichael.cli import main
-from carmichael.korselt import oracle_enumerate
+from carmichael.korselt import PAPER_COUNTS, oracle_enumerate
 from carmichael.stats import (
     build_report,
     count_table,
@@ -18,10 +18,6 @@ from carmichael.stats import (
     write_report,
 )
 
-PAPER_COUNTS = {
-    3: 1, 4: 7, 5: 16, 6: 43, 7: 105, 8: 255, 9: 646, 10: 1547,
-    11: 3605, 12: 8241, 13: 19279, 14: 44706, 15: 105212, 16: 246683,
-}
 
 
 def catalog_1e6():
