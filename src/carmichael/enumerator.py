@@ -15,7 +15,7 @@ the search:
   the i-th prime from p), so a child whose window of m consecutive primes
   has a product above R has no completion.  The window products increase
   along the sieve, so `_Tables.windows[m]` lists them and one bisection
-  by R ends the children (`_child_end`); at m = 2 the end stays
+  by R ends the children (`_Tables.child_end`); at m = 2 the end stays
   p <= isqrt(R).  Neither bound excludes a viable prefix, which is what
   makes the tree exhaustive.  At 2**64 and above, for d = 13..17, the
   window bound cuts the nodes visited from 1.08M to 0.62M, and the
@@ -25,9 +25,9 @@ the search:
   served, which is exact: every later product is larger still, so no
   later window fits that R or a smaller one, and a larger R grows the
   list before it is bisected.  When every window that ends inside the
-  sieve fits R, the root bound ends the children (`_Tables.window_end`);
-  the windows beyond run past the sieve's end, and no run of `smallest`
-  or `enumerate` measured reaches them.  `_descend` hands each child its
+  sieve fits R, the root bound ends the children; the windows beyond
+  run past the sieve's end, and no run of `smallest` or `enumerate`
+  measured reaches them.  `_descend` hands each child its
   slice: from the index of the prime after it to the child's bound, which
   costs one bisection.
 
@@ -112,11 +112,22 @@ the heap: a second run at 10**10 in one process takes about 200 minor
 page faults instead of 16K, and one at 10**11 about 500 instead of 65K.
 The heap keeps what the flushes free, up to the trim threshold, so
 resident memory after a run at 10**11 is 48.5 MiB against 44.6 MiB at
-the defaults; the peak stops growing after the second run.  The
-smallest-factor table takes spf_limit bytes in a mapping of its own,
-which fork workers share, as they never write it: at most 8 MiB, or
-64 MiB for a catalog from d = 3 at 2**43 to 2**62 (Residue-class
-route).
+the defaults; the peak stops growing after the second run.
+
+Each table is cached on what it depends on, and a run's `_Tables` is a
+plain record of both.  `_build_tables` keeps the sieve, its int64 copy
+and its window lists for the last four sieve_tops, so runs whose table
+sizes differ share them: a pass of `smallest` at d = 13..17 builds 49
+sieves, each sieve_top once per d.  `_spf_table` keeps the last
+smallest-factor table built, which takes spf_limit bytes in a mapping of
+its own, which fork workers share, as they never write it: at most
+8 MiB, or 64 MiB for a catalog from d = 3 at 2**43 to 2**62
+(Residue-class route).  A run that needs another size builds it, and
+the old table is freed once no run holds it.  The sieve keeps each prime
+below sieve_top as a Python int, about 40 bytes each, so
+`_Tables.for_limit` refuses a sieve_top above 2**30 (`_SIEVE_TOP_MAX`,
+about 2 GiB) before it builds anything: a full catalog at 10**18 takes
+2**30, and one at 10**20 would take 2**33.
 
 The prune gcd(P, p - 1) = 1 of `_descend` holds exactly when no prime of
 the parent divides p - 1, as P is their squarefree product.  So the flush
@@ -256,7 +267,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
@@ -283,8 +294,8 @@ _LONG_PROGRESSION = 512
 _SPF_FLOOR = 1 << 12
 _SPF_BASE = 1 << 23
 _SPF_TOP = 1 << 26
-# The smallest-factor table `_spf_table` serves its prefixes from.
-_spf_kept = np.zeros(0, dtype=np.uint16)
+# The largest sieve_top `_Tables.for_limit` builds (module docstring).
+_SIEVE_TOP_MAX = 1 << 30
 # A leaf parent is closed through its residue class of p * q instead of its
 # slice when the class holds fewer than this many values per candidate at
 # or below _BATCH_LIMIT, and fewer than this many values above it, where a
@@ -361,18 +372,6 @@ class EnumerationConfig:
                              f"(limit) = {cap}, got [{self.d_min}, {d_max}]")
 
 
-def _spf_table(spf_limit: int) -> np.ndarray:
-    # A table's prefix is the table of a smaller limit, so the largest yet
-    # serves every smaller size: `smallest`, whose sizes grow as its bound
-    # doubles and start again at each d, builds each size once at most.
-    # A replaced table lives on only while `_build_tables` holds it.
-    global _spf_kept
-    entries = spf_limit // 2 + 1
-    if len(_spf_kept) < entries:
-        _spf_kept = smallest_factor_table(spf_limit)
-    return _spf_kept[:entries]
-
-
 def _spf_limit(limit: int, d_min: int, reach: int) -> int:
     """Size of the smallest-factor table for a run from d_min whose leaf
     parents reach at most `reach` (module docstring, Residue-class route)."""
@@ -386,24 +385,24 @@ def _spf_limit(limit: int, d_min: int, reach: int) -> int:
 
 @dataclass
 class _Tables:
-    """Lookup tables shared by the runs whose limits give the same sieve
-    and the same smallest-factor table (`_spf_limit`, from the limit and
-    d_min), which `_build_tables` keys on.
-
-    Only the window lists change: they grow as larger reaches need them.
+    """The lookup tables of one run: the sieve and its window lists, which
+    `_build_tables` caches on sieve_top, and the smallest-factor table,
+    which `_spf_table` caches on spf_limit (`_spf_limit`, from the limit
+    and d_min).  Runs with the same sieve_top share the sieve and the
+    window lists, which grow as larger reaches need them (`child_end`).
     """
 
+    sieve_top: int
     sieve: list[int]
     sieve64: np.ndarray  # the same primes, for the batched leaf layer
-    sieve_top: int
+    # m -> products of the m consecutive primes from each sieve index, up
+    # to the first above the largest reach served (`child_end`).
+    windows: defaultdict
+    spf_limit: int
     # uint16 smallest factor of each odd number below spf_limit, 0 for a
     # prime (`smallest_factor_table`); read in place by numpy and through
     # a memoryview by Python.
     spf: np.ndarray
-    spf_limit: int
-    # m -> products of the m consecutive primes from each sieve index, up
-    # to the first above the largest reach served (`window_end`).
-    windows: defaultdict = field(default_factory=lambda: defaultdict(list))
 
     @classmethod
     def for_limit(cls, limit: int, d_min: int = 3) -> "_Tables":
@@ -414,16 +413,37 @@ class _Tables:
         reach = (limit - 1) // min_odd_prime_product(max(d_min - 2, 1))
         # Round up to a power of two so nearby limits share tables.
         sieve_top = 1 << max(math.isqrt(reach), 64).bit_length()
-        return _build_tables(sieve_top, _spf_limit(limit, d_min, reach))
+        if sieve_top > _SIEVE_TOP_MAX:
+            raise ValueError(
+                f"a search below {limit} from {d_min} factors needs primes "
+                f"up to {sieve_top}, above the bound of {_SIEVE_TOP_MAX}")
+        spf_limit = _spf_limit(limit, d_min, reach)
+        return cls(sieve_top, *_build_tables(sieve_top), spf_limit,
+                   _spf_table(spf_limit))
 
-    def window_end(self, m: int, reach: int) -> int:
-        """`_child_end` for a reach that every stored window of m fits.
+    def child_end(self, reach: int, m: int) -> int:
+        """End hi of the slice sieve[lo:hi] of children of a prefix with
+        reach R, each of which leaves m primes to choose.
 
-        Grows the list until a product exceeds reach, and bisects it; when
-        every whole window fits (the rest run past the sieve's end), the
-        root bound p**m <= reach ends the children.
+        A child p leaves p and m - 1 distinct primes above it, whose
+        product must be at most R = (limit - 1) // P.  For m >= 3 the
+        product of the m consecutive primes from p is at most R too, and
+        those products increase along the sieve, so one bisection of
+        `windows[m]` by R ends the children.  The list stops after its
+        first product above the largest R it has served, and every later
+        product is larger still, so a bisection that lands inside the list
+        is exact; otherwise the list grows until a product exceeds R.
+        When every whole window fits (the rest run past the sieve's end),
+        the root bound p**m <= R ends the children.  At m = 2 the bound
+        stays p <= isqrt(R), which the int64 proof of the leaf batch reads.
         """
-        sieve, windows = self.sieve, self.windows[m]
+        sieve = self.sieve
+        if m == 2:
+            return bisect_right(sieve, math.isqrt(reach))
+        windows = self.windows[m]
+        hi = bisect_right(windows, reach)
+        if hi < len(windows):
+            return hi
         whole = len(sieve) - m + 1
         while len(windows) < whole and (not windows or windows[-1] <= reach):
             i = len(windows)
@@ -434,15 +454,18 @@ class _Tables:
 
 
 @functools.lru_cache(maxsize=4)
-def _build_tables(sieve_top: int, spf_limit: int) -> _Tables:
+def _build_tables(sieve_top: int) -> tuple[list[int], np.ndarray, defaultdict]:
+    """The primes below sieve_top, as a list and as int64, and their window
+    lists, empty until `_Tables.child_end` grows them."""
     sieve = prime_sieve(sieve_top)
-    return _Tables(
-        sieve=sieve,
-        sieve64=np.array(sieve, dtype=np.int64),
-        sieve_top=sieve_top,
-        spf=_spf_table(spf_limit),
-        spf_limit=spf_limit,
-    )
+    return sieve, np.array(sieve, dtype=np.int64), defaultdict(list)
+
+
+@functools.lru_cache(maxsize=1)
+def _spf_table(spf_limit: int) -> np.ndarray:
+    # A call through the module's name, so that a wrapper put there (as
+    # perfbench's tracer does) sees every build.
+    return smallest_factor_table(spf_limit)
 
 
 def _factor_fast(n: int, tables: _Tables) -> list[tuple[int, int]]:
@@ -576,7 +599,7 @@ def _class_values(product: int, carry: int, floor: int,
     The first value is at most floor + L, so the count is never negative
     when floor <= reach.  `add_children`, the only caller, ensures that:
     for its node by lo < hi, which puts windows[3][lo] and sieve[lo]**3
-    at most R (`_child_end` at m = 3), and for a child by skipping it
+    at most R (`_Tables.child_end` at m = 3), and for a child by skipping it
     when floor >= R.  The count may exceed what `len` of a range can
     hold.
     """
@@ -586,9 +609,11 @@ def _class_values(product: int, carry: int, floor: int,
 
 
 class _LeafBatch:
-    """Leaf parents of d - 2 primes, closed through their slice of
-    candidates for the last-but-one prime p or their residue class of
-    p * q (module docstring).
+    """The leaf layer of one batch of tasks: its limit, its tables, the
+    emissions (N, primes) it has made and not yet handed on (`out`), and
+    the queues of leaf parents of d - 2 primes, each closed through its
+    slice of candidates for the last-but-one prime p or its residue class
+    of p * q (module docstring).
 
     `add_children` takes a node of d - 3 primes, drops it when its class
     of p * p' * q is empty, and forms the leaf parent of each child that
@@ -607,6 +632,7 @@ class _LeafBatch:
     def __init__(self, limit: int, tables: _Tables):
         self.limit = limit
         self.tables = tables
+        self.out: list = []
         # (primes, product, carry, reach, lo, hi)
         self.parents: list[tuple] = []
         # (primes, product, carry, pmin, pmax, start, lo, hi): the class
@@ -614,8 +640,7 @@ class _LeafBatch:
         self.classes: list[tuple] = []
         self.pending = self.class_pending = 0  # lanes queued on each
 
-    def add_children(self, primes, product, carry, reach, lo, hi,
-                     out: list) -> None:
+    def add_children(self, primes, product, carry, reach, lo, hi) -> None:
         """Close or queue the leaf parents below a node of d - 3 primes
         with children sieve[lo:hi] and reach R = (limit - 1) // P.
 
@@ -644,19 +669,19 @@ class _LeafBatch:
             start, count = _class_values(product2, carry2, floor, reach2)
             if count:
                 self._route(primes + (p,), product2, carry2, reach2, after,
-                            _child_end(reach2, 2, tables), start, count, out)
+                            tables.child_end(reach2, 2), start, count)
 
-    def _route(self, primes, product, carry, reach, lo, hi, start, count,
-               out: list) -> None:
+    def _route(self, primes, product, carry, reach, lo, hi, start,
+               count) -> None:
         """Close or queue a parent whose class holds `count` values from
         `start` (`_class_values`)."""
         sieve = self.tables.sieve
         if self.limit > _BATCH_LIMIT:
             if count < _CLASS_RATIO:
                 self._walk_class(primes, product, range(start, reach + 1, carry),
-                                 sieve[lo:hi], out)
+                                 sieve[lo:hi])
             else:
-                self._loop_slice(primes, product, carry, sieve[lo:hi], out)
+                self._loop_slice(primes, product, carry, sieve[lo:hi])
             return
         if reach < self.tables.spf_limit and count < _CLASS_RATIO * (hi - lo):
             head = (primes, product, carry, sieve[lo], sieve[hi - 1], start)
@@ -668,7 +693,7 @@ class _LeafBatch:
                 self.class_pending += take
                 jlo += take
                 if self.class_pending >= _FLUSH:
-                    self.flush(out)
+                    self.flush()
             return
         while lo < hi:
             take = min(hi - lo, _FLUSH - self.pending)
@@ -676,9 +701,9 @@ class _LeafBatch:
             self.pending += take
             lo += take
             if self.pending >= _FLUSH:
-                self.flush(out)
+                self.flush()
 
-    def _walk_class(self, primes, product, values, candidates, out) -> None:
+    def _walk_class(self, primes, product, values, candidates) -> None:
         """Emit P * w for each class value w = p * q with p the first of
         the candidates dividing w, q = w // p a prime above p, and p - 1
         and q - 1 dividing P * w - 1: the flush's tests, which with
@@ -689,27 +714,27 @@ class _LeafBatch:
                     q, n = w // p, product * w
                     if (q > p and (n - 1) % (p - 1) == 0
                             and (n - 1) % (q - 1) == 0 and is_prime(q)):
-                        out.append((n, primes + (p, q)))
+                        self.out.append((n, primes + (p, q)))
                     break
 
-    def _loop_slice(self, primes, product, carry, candidates, out) -> None:
+    def _loop_slice(self, primes, product, carry, candidates) -> None:
         """Prune each candidate as `_descend` does and complete it."""
         for p in candidates:
             if carry % p == 0 or math.gcd(product, p - 1) != 1:
                 continue
             _complete_final(primes + (p,), product * p, math.lcm(carry, p - 1),
-                            self.limit, self.tables, out)
+                            self.limit, self.tables, self.out)
 
-    def flush(self, out: list) -> None:
+    def flush(self) -> None:
         parents, self.parents = self.parents, []
         classes, self.classes = self.classes, []
         self.pending = self.class_pending = 0
         if classes:
-            self._close_classes(classes, out)
+            self._close_classes(classes)
         if parents:
-            self._close_slices(parents, out)
+            self._close_slices(parents)
 
-    def _close_classes(self, classes: list, out: list) -> None:
+    def _close_classes(self, classes: list) -> None:
         heads, products, carries, pmins, pmaxs, starts, los, his = zip(*classes)
         owner, step = _lanes(los, his)
         carry = np.array(carries, dtype=np.int64)[owner]
@@ -729,10 +754,10 @@ class _LeafBatch:
         hits = np.flatnonzero((nm1 % (p - 1) == 0) & (nm1 % (q - 1) == 0))
         for i in hits.tolist():
             o = int(owner[i])
-            out.append((products[o] * int(w[i]),
-                        heads[o] + (int(p[i]), int(q[i]))))
+            self.out.append((products[o] * int(w[i]),
+                             heads[o] + (int(p[i]), int(q[i]))))
 
-    def _close_slices(self, parents: list, out: list) -> None:
+    def _close_slices(self, parents: list) -> None:
         heads, products, carries, reaches, los, his = zip(*parents)
         owner, index = _lanes(los, his)
         p = self.tables.sieve64[index]
@@ -765,7 +790,7 @@ class _LeafBatch:
         for i in np.flatnonzero(long).tolist():
             o, q = int(owner[i]), int(p[i])
             _complete_final(heads[o] + (q,), products[o] * q, int(carry[i]),
-                            self.limit, self.tables, out)
+                            self.limit, self.tables, self.out)
         short = np.flatnonzero(~long)
         terms = (rmax[short] - first[short]) // carry[short] + 1
         # The lanes whose terms start in one window of _PIECE are expanded
@@ -781,71 +806,32 @@ class _LeafBatch:
             hits = np.flatnonzero((product[lane] - 1) % (r - 1) == 0)
             for i, q in zip(lane[hits].tolist(), r[hits].tolist()):
                 if is_prime(q):
-                    out.append((int(product[i]) * q,
-                                heads[owner[i]] + (int(p[i]), q)))
+                    self.out.append((int(product[i]) * q,
+                                     heads[owner[i]] + (int(p[i]), q)))
 
 
-def _child_end(reach: int, m: int, tables: _Tables) -> int:
-    """End hi of the slice sieve[lo:hi] of children of a prefix with reach R.
-
-    A child p leaves m primes to choose, p and m - 1 distinct primes above
-    it, whose product must be at most R = (limit - 1) // P.  For m >= 3
-    the product of the m consecutive primes from p is at most R too, and
-    those products increase along the sieve, so one bisection of
-    `tables.windows[m]` by R ends the children.  The list stops after its
-    first product above the largest R it has served, and every later
-    product is larger still, so a bisection that lands inside the list is
-    exact; one that reaches its end goes to `_Tables.window_end`, which
-    grows the list (module docstring).  At m = 2 the bound stays
-    p <= isqrt(R), which the int64 proof of the leaf batch reads.
-    """
-    if m == 2:
-        return bisect_right(tables.sieve, math.isqrt(reach))
-    windows = tables.windows[m]
-    hi = bisect_right(windows, reach)
-    return hi if hi < len(windows) else tables.window_end(m, reach)
-
-
-def _descend(
-    primes: tuple[int, ...],
-    product: int,
-    carry: int,
-    reach: int,
-    d: int,
-    tables: _Tables,
-    out: list,
-    leaves: _LeafBatch,
-    lo: int,
-    hi: int,
-) -> None:
+def _descend(leaves: _LeafBatch, d: int, primes: tuple[int, ...], product: int,
+             carry: int, reach: int, lo: int, hi: int) -> None:
     """Search the children sieve[lo:hi] of the prefix, whose reach is
-    R = (limit - 1) // P.
+    R = (limit - 1) // P, for the Carmichael numbers of d primes below
+    the limit of `leaves`, which carries the run's tables and emissions.
 
     A node of d - 3 primes hands them to `leaves.add_children`, which
     forms their leaf parents; a shallower node descends into each child
     p that passes the prune, with reach R // p (flooring by P and then by
-    p floors by P * p) and its own children ending at `_child_end`.
+    p floors by P * p) and its own children ending at `child_end`.
     """
     k = len(primes)
     if k == d - 3:
-        leaves.add_children(primes, product, carry, reach, lo, hi, out)
+        leaves.add_children(primes, product, carry, reach, lo, hi)
         return
+    tables = leaves.tables
     for after, p in enumerate(tables.sieve[lo:hi], lo + 1):
         if carry % p == 0 or math.gcd(product, p - 1) != 1:
             continue
         reach2 = reach // p
-        _descend(
-            primes + (p,),
-            product * p,
-            math.lcm(carry, p - 1),
-            reach2,
-            d,
-            tables,
-            out,
-            leaves,
-            after,
-            _child_end(reach2, d - k - 1, tables),
-        )
+        _descend(leaves, d, primes + (p,), product * p, math.lcm(carry, p - 1),
+                 reach2, after, tables.child_end(reach2, d - k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -866,22 +852,16 @@ def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
     for d in range(config.d_min, config.resolved_d_max() + 1):
         # Index 0 of the sieve is 2, which the prune of the root
         # (P = L = 1) lets through, so the odd primes start at 1.
-        hi = _child_end(limit - 1, d, tables)
+        hi = tables.child_end(limit - 1, d)
         nodes = [((), 1, hi)] if d == 3 else [
-            ((p1,), after, _child_end((limit - 1) // p1, d - 1, tables))
+            ((p1,), after, tables.child_end((limit - 1) // p1, d - 1))
             for after, p1 in enumerate(sieve[1:hi], 2)]
         tasks += [(d, prefix, i, i + 1)
                   for prefix, lo, end in nodes for i in range(lo, end)]
     return tasks
 
 
-def _run_task_impl(
-    task: tuple,
-    limit: int,
-    tables: _Tables,
-    leaves: _LeafBatch,
-    last: bool,
-) -> list:
+def _run_task_impl(task: tuple, leaves: _LeafBatch, last: bool) -> list:
     """Search one task (d, prefix, lo, hi); return what was emitted during
     this call.
 
@@ -891,11 +871,11 @@ def _run_task_impl(
     """
     d, primes, lo, hi = task
     product = math.prod(primes)
-    out: list = []
-    _descend(primes, product, math.lcm(*(p - 1 for p in primes)),
-             (limit - 1) // product, d, tables, out, leaves, lo, hi)
+    _descend(leaves, d, primes, product, math.lcm(*(p - 1 for p in primes)),
+             (leaves.limit - 1) // product, lo, hi)
     if last:
-        leaves.flush(out)
+        leaves.flush()
+    out, leaves.out = leaves.out, []
     return out
 
 
@@ -908,15 +888,13 @@ def _worker_run(job: tuple) -> tuple[int, list]:
     closing earlier tasks' leaves.
     """
     limit, d_min, tasks = job
-    # Cached, and built before a fork pool starts, so workers inherit it.
-    tables = _Tables.for_limit(limit, d_min)
-    leaves = _LeafBatch(limit, tables)
+    # Both table caches are filled before a fork pool starts, so workers
+    # inherit them.
+    leaves = _LeafBatch(limit, _Tables.for_limit(limit, d_min))
     out: list = []
     for i, task in enumerate(tasks):
         try:
-            out.extend(
-                _run_task_impl(task, limit, tables, leaves, i == len(tasks) - 1)
-            )
+            out.extend(_run_task_impl(task, leaves, i == len(tasks) - 1))
         except Exception as exc:
             d, prefix, lo, hi = task
             raise RuntimeError(f"search task d={d} prefix={prefix} children "

@@ -53,6 +53,10 @@ DEFAULT_MODULI = (5, 7, 11, 12)
 # A residue table has a cell for every class at every checkpoint, however
 # few entries the catalog holds; larger tables are refused.
 RESIDUE_CELLS = 1 << 20
+# A prime table has a row for each odd prime up to its cap, and the same
+# bound on its cells.  There are more than RESIDUE_CELLS odd primes below
+# 2**24, so a cap at or above it is refused before anything is sieved.
+PRIME_CAP_MAX = 1 << 24
 TABLE_NAMES = (
     "counts",
     "counts-by-d",
@@ -192,6 +196,12 @@ def prime_tables(
     cat: Catalog, primes: list[int], cps: list[int]
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
     """Divisor counts and least-prime-factor counts per prime and X."""
+    if len(primes) * len(cps) > RESIDUE_CELLS:
+        raise ValueError(
+            f"prime tables of {len(primes)} primes at {len(cps)} checkpoints"
+            f" have {len(primes) * len(cps)} cells, above the bound of"
+            f" {RESIDUE_CELLS}"
+        )
     wanted = set(primes)
     divisor = _tally(
         cat, cps, lambda s: (p for e in s for p in e.factors if p in wanted)
@@ -276,6 +286,12 @@ def build_report(
                 if "residues" in tables else {})
     primes, div_counts, least_counts = [], {}, {}
     if {"prime-divisors", "least-primes"} & set(tables):
+        if prime_cap >= PRIME_CAP_MAX:
+            raise ValueError(
+                f"prime tables up to {prime_cap} have more than"
+                f" {RESIDUE_CELLS} rows, above the bound of {RESIDUE_CELLS}"
+                f" cells"
+            )
         primes = [p for p in prime_sieve(prime_cap) if p > 2]
         div_counts, least_counts = prime_tables(cat, primes, cps)
     records = scan_records(cat) if cat.entries else None

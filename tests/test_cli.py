@@ -301,6 +301,46 @@ def test_stats_refuses_a_residue_table_above_its_bound(tmp_path, capsys,
         stats.residue_table(cat, 11, cps)
 
 
+@pytest.mark.parametrize("cap, checkpoints, sieved", [
+    # pi(2**24) - 1 = 1077870 odd primes: more rows than cells allowed.
+    (2**24, "1e3", False),
+    (2**32, "1e3", False),
+    # 564162 odd primes below 2**23 at 2 checkpoints: 1128324 cells.
+    (2**23, "1e3,1e4", True),
+])
+def test_stats_refuses_prime_tables_above_their_bound(tmp_path, capsys,
+                                                      monkeypatch, cap,
+                                                      checkpoints, sieved):
+    cat_path = tmp_path / "cat.txt"
+    main(["enumerate", "--limit", "1e4", "--out", str(cat_path)])
+    capsys.readouterr()
+    calls = []
+    sieve = stats.prime_sieve
+    monkeypatch.setattr(stats, "prime_sieve",
+                        lambda n: calls.append(n) or sieve(n))
+    args = ["stats", "--input", str(cat_path), "--out-dir", str(tmp_path / "t"),
+            "--tables", "least-primes", "--checkpoints", checkpoints,
+            "--primes-up-to", str(cap)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(stats.RESIDUE_CELLS) in err
+    assert calls == ([cap] if sieved else [])
+    assert not (tmp_path / "t").exists()
+
+
+def test_enumerate_refuses_a_sieve_above_its_bound(tmp_path, capsys,
+                                                   monkeypatch):
+    # 10**20 would sieve to 2**33: tens of GiB of Python ints.
+    def sieve(n):
+        raise AssertionError(f"prime_sieve({n}) ran")
+
+    monkeypatch.setattr(enumerator, "prime_sieve", sieve)
+    out = tmp_path / "c.txt"
+    assert main(["enumerate", "--limit", "1e20", "--out", str(out)]) == 2
+    assert f"below {10**20} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_unknown_table_usage_error(tmp_path, capsys):
     cat_path = tmp_path / "cat.txt"
     main(["enumerate", "--limit", "1e4", "--out", str(cat_path)])

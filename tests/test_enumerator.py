@@ -3,11 +3,11 @@ import functools
 import math
 import os
 import random
-import resource
+import subprocess
+import sys
 from bisect import bisect_right
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from carmichael import enumerator
@@ -18,7 +18,6 @@ from carmichael.enumerator import (
     _check_decades,
     _chunk,
     _complete_final,
-    _child_end,
     _run_task_impl,
     _LeafBatch,
     _seed_tasks,
@@ -139,16 +138,23 @@ def brute_child_range(primes, d, limit, sieve):
 BRUTE_LIMITS = [10**4, 10**12, 2**64, 2**90]
 
 
+def fresh_tables_to(top):
+    """Uncached tables of the primes below top, with empty window lists
+    and the smallest-factor table of 4096."""
+    return _Tables(top, *enumerator._build_tables.__wrapped__(top), 4096,
+                   enumerator._spf_table.__wrapped__(4096))
+
+
 def child_range(primes, product, d, limit, tables):
     """The slice sieve[lo:hi] of primes that can follow the prefix: lo by
     bisection (index 1 for no prefix, past the prime 2) and hi by
-    `_child_end`, as the task seeds and `_descend` take them."""
+    `child_end`, as the task seeds and `_descend` take them."""
     lo = bisect_right(tables.sieve, primes[-1]) if primes else 1
-    return lo, _child_end((limit - 1) // product, d - len(primes), tables)
+    return lo, tables.child_end((limit - 1) // product, d - len(primes))
 
 
 def random_child_cuts(tables, limit, rng, cases):
-    """`_child_end` against the brute force on random prefixes; for each,
+    """`child_end` against the brute force on random prefixes; for each,
     how far the window bound cuts below the root bound."""
     sieve = tables.sieve
     cuts = []
@@ -177,7 +183,7 @@ def test_child_range_against_brute_force(limit):
     # then the same table serves every limit ascending and descending, so
     # lists grown for a smaller limit serve a larger one and the other way.
     for top in (2**13, 2**10):
-        tables = enumerator._build_tables.__wrapped__(top, 4096)
+        tables = fresh_tables_to(top)
         cuts = random_child_cuts(tables, limit, rng, 300)
         # The window bound cuts below the root bound in many cases.
         assert sum(c > 0 for c in cuts) >= 10
@@ -229,9 +235,52 @@ def test_smallest_with_13_factors_visits_the_same_nodes(monkeypatch):
 def fresh_tables(monkeypatch):
     """Empty table caches for the test, restored afterwards, so that the
     tables it builds are seen and freed."""
+    for name in ("_build_tables", "_spf_table"):
+        cached = getattr(enumerator, name)
+        monkeypatch.setattr(enumerator, name, functools.lru_cache(
+            **cached.cache_parameters())(cached.__wrapped__))
+
+
+def test_tables_of_one_sieve_top_share_the_sieve(fresh_tables):
+    # 10**5 and 150000 both sieve to 2**8, with factor tables of 2**17 and
+    # 2**18: the sieve depends on sieve_top alone.
+    a, b = _Tables.for_limit(10**5), _Tables.for_limit(150_000)
+    assert a.sieve_top == b.sieve_top == 2**8
+    assert (a.spf_limit, b.spf_limit) == (2**17, 2**18)
+    assert a.sieve is b.sieve and a.sieve64 is b.sieve64
+    assert a.windows is b.windows
+
+
+def test_a_smallest_pass_builds_each_sieve_once_per_factor_count(
+        monkeypatch):
+    # Each d doubles its bound through sieve_tops 2**7 and up; a table of
+    # another size does not rebuild a sieve.
+    built, build = [], enumerator._build_tables
+
+    def spy(sieve_top):
+        built.append(sieve_top)
+        return build.__wrapped__(sieve_top)
+
     monkeypatch.setattr(enumerator, "_build_tables", functools.lru_cache(
-        maxsize=4)(enumerator._build_tables.__wrapped__))
-    monkeypatch.setattr(enumerator, "_spf_kept", np.zeros(0, np.uint16))
+        **build.cache_parameters())(spy))
+    for d in range(13, 18):
+        start = len(built)
+        smallest_with_factors(d)
+        assert len(set(built[start:])) == len(built) - start
+    assert len(built) == 49
+
+
+def test_the_sieve_bound_admits_1e18_and_refuses_1e19(monkeypatch):
+    # A full catalog at 10**18 sieves to 2**30, one at 10**19 to 2**31.
+    built = []
+    monkeypatch.setattr(enumerator, "_build_tables",
+                        lambda top: built.append(top) or ([], None, None))
+    monkeypatch.setattr(enumerator, "_spf_table", lambda size: None)
+    assert _Tables.for_limit(10**18).sieve_top == 2**30
+    for limit in (10**19, 10**20):
+        with pytest.raises(ValueError, match=f"below {limit} .* {2**30}$"):
+            _Tables.for_limit(limit)
+    assert built == [2**30]
 
 
 def test_the_full_catalog_table_steps_from_2_23_to_2_26_at_2_43():
@@ -330,13 +379,12 @@ def test_descend_closes_prefixes_with_prime_pairs(monkeypatch, batched):
 
     def pairs(p1, limit):
         # The task of the root's child p1, for d = 3.
-        tables = _Tables.for_limit(limit)
-        leaves = _LeafBatch(limit, tables)
-        i = tables.sieve.index(p1)
-        out = _run_task_impl((3, (), i, i + 1), limit, tables, leaves, False)
+        leaves = _LeafBatch(limit, _Tables.for_limit(limit))
+        i = leaves.tables.sieve.index(p1)
+        out = _run_task_impl((3, (), i, i + 1), leaves, False)
         assert bool(leaves.parents) == batched
-        leaves.flush(out)
-        return sorted(fs[-2:] for _, fs in out)
+        leaves.flush()
+        return sorted(fs[-2:] for _, fs in out + leaves.out)
 
     assert pairs(7, 10**4) == [(13, 19), (13, 31), (19, 67), (23, 41)]
     assert pairs(3, 10**4) == [(11, 17)]
@@ -490,16 +538,27 @@ def _libc_has_mallopt() -> bool:
         return False
 
 
+WARM_RUN = """
+import resource
+from carmichael.enumerator import EnumerationConfig, enumerate_carmichael
+config = EnumerationConfig(10**10)
+enumerate_carmichael(config)  # builds the tables and warms the heap
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cat = enumerate_carmichael(config)
+print(len(cat), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
 def test_a_warm_run_takes_few_page_faults():
     # At glibc's default thresholds every flush maps, faults in and unmaps
-    # its 128 KiB temporaries: 14-16K minor faults on this run.
-    config = EnumerationConfig(10**10)
-    enumerate_carmichael(config)  # builds the tables and warms the heap
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    cat = enumerate_carmichael(config)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert len(cat) == 1547
+    # its 128 KiB temporaries: 14-16K minor faults on the second run.  A
+    # fresh interpreter runs both, so what ran before in this process
+    # does not count.
+    done = subprocess.run([sys.executable, "-c", WARM_RUN],
+                          capture_output=True, text=True, check=True)
+    count, faults = map(int, done.stdout.split())
+    assert count == 1547
     assert faults < 2000
 
 

@@ -33,13 +33,13 @@ from carmichael.catalog import write_catalog
 from carmichael.enumerator import (
     EnumerationConfig,
     _build_tables,
-    _child_end,
     _class_values,
     _complete_final,
     _inverse_mod,
     _LeafBatch,
     _run_task_impl,
     _seed_tasks,
+    _spf_table,
     _Tables,
     enumerate_carmichael,
 )
@@ -87,12 +87,12 @@ class _Recorder(_LeafBatch):
         super().__init__(limit, tables)
         self.nodes, self.routed = [], []
 
-    def add_children(self, primes, product, carry, reach, lo, hi, out):
+    def add_children(self, primes, product, carry, reach, lo, hi):
         assert reach == (self.limit - 1) // product
         self.nodes.append((primes, product, carry, lo, hi))
-        super().add_children(primes, product, carry, reach, lo, hi, out)
+        super().add_children(primes, product, carry, reach, lo, hi)
 
-    def _route(self, primes, product, carry, reach, lo, hi, start, count, out):
+    def _route(self, primes, product, carry, reach, lo, hi, start, count):
         assert reach == (self.limit - 1) // product
         self.routed.append((primes, product, carry, lo, hi))
 
@@ -109,7 +109,7 @@ def scalar_leaves(parents, limit, tables):
     return sorted(out)
 
 
-def add_parent(batch, parent, out):
+def add_parent(batch, parent):
     """Close or queue a parent (primes, product, carry, lo, hi) by the two
     calls the loop of `add_children` makes: its class count, then
     `_route` when the class is not empty."""
@@ -119,16 +119,15 @@ def add_parent(batch, parent, out):
         floor = batch.tables.sieve[lo] ** 2
         start, count = _class_values(product, carry, floor, reach)
         if count:
-            batch._route(primes, product, carry, reach, lo, hi, start, count,
-                         out)
+            batch._route(primes, product, carry, reach, lo, hi, start, count)
 
 
 def batched_leaves(parents, limit, tables):
-    batch, out = _LeafBatch(limit, tables), []
+    batch = _LeafBatch(limit, tables)
     for parent in parents:
-        add_parent(batch, parent, out)
-    batch.flush(out)
-    return sorted(out)
+        add_parent(batch, parent)
+    batch.flush()
+    return sorted(batch.out)
 
 
 def record(limit, tables, d=None):
@@ -137,7 +136,7 @@ def record(limit, tables, d=None):
     recorder = _Recorder(limit, tables)
     config = EnumerationConfig(limit, d_min=d or 3, d_max=d)
     for task in _seed_tasks(config, tables):
-        _run_task_impl(task, limit, tables, recorder, False)
+        _run_task_impl(task, recorder, False)
     return recorder
 
 
@@ -186,7 +185,7 @@ def test_one_class_count_routes_each_parent_below_2_62(monkeypatch):
     for parent in children(record(limit, tables).nodes, limit, tables):
         primes, product, carry, lo, hi = parent
         batch, reach = _LeafBatch(limit, tables), (limit - 1) // product
-        add_parent(batch, parent, [])
+        add_parent(batch, parent)
         count = class_size(parent, limit, tables)
         by_class = (reach < tables.spf_limit
                     and count < enumerator._CLASS_RATIO * (hi - lo))
@@ -210,7 +209,7 @@ def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
     empty = []
     for primes, product, carry, lo, hi in parents:
         batch, closed = _LeafBatch(limit, tables), routes.closed_at_once()
-        add_parent(batch, (primes, product, carry, lo, hi), [])
+        add_parent(batch, (primes, product, carry, lo, hi))
         # Queued at or below 2**62, walked or looped above it.
         closed = (batch.pending + batch.class_pending
                   + routes.closed_at_once() - closed)
@@ -256,11 +255,11 @@ class ClassSpy:
         monkeypatch.setattr(enumerator, "_class_values", spy)
 
 
-def add_node(batch, node, out):
+def add_node(batch, node):
     """`batch.add_children` of a node (primes, product, carry, lo, hi)."""
     primes, product, carry, lo, hi = node
     batch.add_children(primes, product, carry, (batch.limit - 1) // product,
-                       lo, hi, out)
+                       lo, hi)
 
 
 @pytest.mark.parametrize("limit, d", [(10**9, None), (2**64, 12)])
@@ -274,7 +273,7 @@ def test_an_empty_class_of_three_primes_closes_its_node(monkeypatch, limit,
         primes, product, carry, lo, hi = node
         spy.calls.clear()
         batch = _Recorder(limit, tables)
-        add_node(batch, node, [])
+        add_node(batch, node)
         # The first w = p * p' * q = P^-1 (mod L) from the product of the
         # three consecutive primes from sieve[lo], against R.
         c = pow(product, -1, carry)
@@ -296,7 +295,8 @@ def test_past_the_window_lists_the_cut_takes_sieve_lo_cubed(monkeypatch):
     # root bound ends the children, and the window list stops two short
     # of the sieve.  Each node (a, 1013) hands on its children from
     # sieve[lo] = 1019, where p * p' * q > 1019**3.
-    tables = _build_tables.__wrapped__(2**10, 4096)
+    tables = _Tables(2**10, *_build_tables.__wrapped__(2**10), 4096,
+                     _spf_table.__wrapped__(4096))
     sieve, spy = tables.sieve, ClassSpy(monkeypatch)
     lo = bisect_right(sieve, 1013)
     nodes = cut = 0
@@ -306,17 +306,17 @@ def test_past_the_window_lists_the_cut_takes_sieve_lo_cubed(monkeypatch):
             if math.gcd(product, carry) != 1:
                 continue
             limit = product * reach + 1
-            hi = _child_end(reach, 3, tables)
+            hi = tables.child_end(reach, 3)
             assert len(tables.windows[3]) <= lo < hi
             node = ((a, 1013), product, carry, lo, hi)
             spy.calls.clear()
-            batch, out = _LeafBatch(limit, tables), []
-            add_node(batch, node, out)
-            batch.flush(out)
+            batch = _LeafBatch(limit, tables)
+            add_node(batch, node)
+            batch.flush()
             floor, count = spy.calls[0]
             assert floor == 1019**3
             parents = children([node], limit, tables)
-            assert sorted(out) == scalar_leaves(parents, limit, tables)
+            assert sorted(batch.out) == scalar_leaves(parents, limit, tables)
             nodes += 1
             if not count:
                 assert len(spy.calls) == 1
@@ -405,10 +405,10 @@ def test_a_flush_of_parents_with_different_d(monkeypatch):
     widths = []
     flush = _LeafBatch.flush
 
-    def spy(self, out):
+    def spy(self):
         # Over both queues: slices and residue classes.
         widths.append({len(x[0]) for x in self.parents + self.classes})
-        flush(self, out)
+        flush(self)
 
     monkeypatch.setattr(_LeafBatch, "flush", spy)
     batched = batched_leaves(parents, limit, tables)
@@ -479,21 +479,21 @@ class RouteSpy:
         close_slices = _LeafBatch._close_slices
         walk, loop = _LeafBatch._walk_class, _LeafBatch._loop_slice
 
-        def classes(batch, queue, out):
+        def classes(batch, queue):
             self.classes.append([hi - lo for *_, lo, hi in queue])
-            close_classes(batch, queue, out)
+            close_classes(batch, queue)
 
-        def slices(batch, queue, out):
+        def slices(batch, queue):
             self.slices += queue
-            close_slices(batch, queue, out)
+            close_slices(batch, queue)
 
-        def walks(batch, primes, product, values, candidates, out):
+        def walks(batch, primes, product, values, candidates):
             self.walks.append((primes, len(values)))
-            walk(batch, primes, product, values, candidates, out)
+            walk(batch, primes, product, values, candidates)
 
-        def loops(batch, primes, product, carry, candidates, out):
+        def loops(batch, primes, product, carry, candidates):
             self.loops.append(primes)
-            loop(batch, primes, product, carry, candidates, out)
+            loop(batch, primes, product, carry, candidates)
 
         monkeypatch.setattr(_LeafBatch, "_close_classes", classes)
         monkeypatch.setattr(_LeafBatch, "_close_slices", slices)
@@ -665,7 +665,7 @@ def leaf_parent(n, limit, tables):
     head = primes[:-2]
     product = math.prod(head)
     lo = bisect_right(tables.sieve, head[-1])
-    hi = _child_end((limit - 1) // product, 2, tables)
+    hi = tables.child_end((limit - 1) // product, 2)
     return (head, product, math.lcm(*(p - 1 for p in head)), lo, hi), primes
 
 
@@ -705,9 +705,9 @@ def test_limits_above_2_62_queue_nothing(monkeypatch):
     flushed = []
     flush = _LeafBatch.flush
 
-    def spy(self, out):
+    def spy(self):
         flushed.append(len(self.parents) + len(self.classes))
-        flush(self, out)
+        flush(self)
 
     monkeypatch.setattr(_LeafBatch, "flush", spy)
     routes = RouteSpy(monkeypatch)
@@ -733,19 +733,18 @@ def test_each_parent_above_2_62_takes_the_route_its_class_picks(monkeypatch):
     sizes, nodes = {}, []
     route, descend = _LeafBatch._route, enumerator._descend
 
-    def route_spy(self, primes, product, carry, reach, lo, hi, start, count,
-                  out):
+    def route_spy(self, primes, product, carry, reach, lo, hi, start, count):
         assert reach == (self.limit - 1) // product
         # The slice `_descend` would give the parent, and its class count.
-        assert lo < hi == _child_end(reach, 2, tables)
+        assert lo < hi == tables.child_end(reach, 2)
         sizes[primes] = class_size((primes, product, carry, lo, hi),
                                    self.limit, tables)
         assert count == sizes[primes] > 0
-        route(self, primes, product, carry, reach, lo, hi, start, count, out)
+        route(self, primes, product, carry, reach, lo, hi, start, count)
 
-    def descend_spy(primes, *rest):
+    def descend_spy(leaves, d, primes, *rest):
         nodes.append(len(primes))
-        descend(primes, *rest)
+        descend(leaves, d, primes, *rest)
 
     monkeypatch.setattr(_LeafBatch, "_route", route_spy)
     monkeypatch.setattr(enumerator, "_descend", descend_spy)
