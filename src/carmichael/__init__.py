@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .catalog import Catalog, merge, read_catalog, write_catalog
+from .catalog import Catalog, read_catalog, write_catalog
 from .enumerator import (
     EnumerationConfig,
     enumerate_carmichael,
@@ -25,7 +25,6 @@ __all__ = [
     "is_prime",
     "korselt_failure",
     "max_factor_count",
-    "merge",
     "prime_sieve",
     "read_catalog",
     "scan_records",

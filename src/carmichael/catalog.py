@@ -1,5 +1,9 @@
 """Catalog persistence: bit-exact text files of Carmichael numbers.
 
+This module reads and writes the format and nothing else; what a header
+means for the numbers a catalog covers is for its readers to act on
+(`stats` refuses a catalog restricted by factor count).
+
 Format: UTF-8 text.  Header lines start with '#' and carry `key: value`
 provenance pairs (generator version, limit, factor-count range, count).
 Each record line is the decimal value of N, a space, then its ascending
@@ -22,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .korselt import CarmichaelEntry
 
-__all__ = ["Catalog", "CatalogFormatError", "write_catalog", "read_catalog", "merge",
+__all__ = ["Catalog", "CatalogFormatError", "write_catalog", "read_catalog",
            "complete_provenance"]
 
 
@@ -179,62 +183,3 @@ def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
         )
     return cat
 
-
-def _factor_range(cat: Catalog) -> tuple[int, int | None]:
-    """The factor counts `cat` covers; None for no upper end.
-
-    Without d headers a catalog covers 3..max_factor_count(limit), and
-    without a limit either, every factor count.
-    """
-    from .enumerator import max_factor_count  # it imports this module
-
-    d_min = int(cat.provenance.get("d_min", 3))
-    if "d_max" in cat.provenance:
-        return d_min, int(cat.provenance["d_max"])
-    return d_min, None if cat.limit is None else max_factor_count(cat.limit)
-
-
-def merge(catalogs: list[Catalog]) -> Catalog:
-    """Sorted union; conflicting factorizations for one N are an error.
-
-    The result is complete below the smallest input limit, and keeps only
-    the entries below it.  It covers the union of the inputs' factor-count
-    ranges; ranges that leave a gap are an error, as the result would be
-    short there.
-    """
-    combined = sorted(
-        (e for cat in catalogs for e in cat.entries), key=lambda e: e.value
-    )
-    entries: list[CarmichaelEntry] = []
-    for entry in combined:
-        if entries and entries[-1].value == entry.value:
-            if entries[-1].factors != entry.factors:
-                raise CatalogFormatError(
-                    f"conflicting factorizations for {entry.value}"
-                )
-            continue
-        entries.append(entry)
-    limits = [c.limit for c in catalogs if c.limit is not None]
-    provenance: dict[str, str] = {"mode": "merged"}
-    if limits and len(limits) == len(catalogs):
-        # Complete only below the smallest bound: drop what lies above it.
-        limit = min(limits)
-        provenance["limit"] = str(limit)
-        entries = [e for e in entries if e.value < limit]
-    ranges = sorted(map(_factor_range, catalogs), key=lambda r: r[0])
-    if ranges:
-        d_min, d_max = ranges[0]
-        for lo, hi in ranges[1:]:
-            if d_max is None:
-                break
-            if lo > d_max + 1:
-                raise CatalogFormatError(
-                    f"the catalogs hold d = {d_min}..{d_max} and {lo}.. prime"
-                    f" factors: d = {d_max + 1}..{lo - 1} is missing"
-                )
-            d_max = None if hi is None else max(d_max, hi)
-        provenance["d_min"] = str(d_min)
-        if d_max is not None:
-            provenance["d_max"] = str(d_max)
-    provenance["count"] = str(len(entries))
-    return Catalog(entries, provenance)

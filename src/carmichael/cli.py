@@ -130,6 +130,9 @@ def _cmd_enumerate(args) -> int:
         d_max=args.max_factors,
         worker_count=jobs,
     )
+    # Refused before the search, which can take hours, not after it.
+    if not args.out.parent.is_dir():
+        raise OSError(f"no directory {args.out.parent} to write {args.out} in")
     cat = enumerate_carmichael(config, progress=_progress_printer("enumerate"))
     write_catalog(cat, args.out)
     print(f"count={len(cat)} limit={args.limit}")

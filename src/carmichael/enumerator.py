@@ -185,21 +185,18 @@ equally fast at 10**11 and 10**12, and at 10**13 with a table of 2**26.
 Int64 is exact: every w walked, and so j * L and q, is at most
 R < spf_limit <= 2**26; and P * w <= P * R < limit <= 2**62.
 
-The table is sized to what the run reads (`_spf_limit`).  Above 2**62
-nothing is queued, and `_factor_fast` factors a P - 1 above the table by
-`factorize`, so the table is `_SPF_FLOOR` = 2**12.  At or below 2**62
-the class route reads it up to the largest leaf reach, (limit - 1) // P
-with P the product of the d_min - 2 smallest odd primes (the quotient
-that also sizes the sieve), and `_factor_fast` reads it for P - 1, where
-P is at least the product of the d_min - 1 smallest odd primes.  While
-that product is at most the cap (d_min <= 8), some P - 1 can fall inside
-the table, so it is the power of two above the limit; from d_min = 9 on
-no P - 1 can, and it is the power of two above the largest leaf reach.
-Either is capped at `_SPF_BASE` = 2**23, or at `_SPF_TOP` = 2**26 for a
-catalog from d = 3 at a limit of 2**43 or more.  A larger table moves
-leaf parents from the slice route to the class route, and costs its
-build and spf_limit bytes of memory.  Measured in fresh processes
-(BENCH_spf.json):
+The table is sized to what the class route reads (`_spf_limit`).  Above
+2**62 nothing is queued, so the table is `_SPF_FLOOR` = 2**12.  At or
+below 2**62 the class route reads it up to the largest leaf reach,
+(limit - 1) // P with P the product of the d_min - 2 smallest odd primes
+(the quotient that also sizes the sieve), so it is the power of two above
+that reach, capped at `_SPF_BASE` = 2**23, or at `_SPF_TOP` = 2**26 for a
+catalog from d = 3 at a limit of 2**43 or more.  `_factor_fast` factors a
+P - 1 above the table by `factorize`, and a divisor-route P - 1 rarely is
+one: of its 38 calls at 10**7, 625 at 10**9 and 691 for d = 5 at 10**11,
+none.  A larger table moves leaf parents from the slice route to the
+class route, and costs its build and spf_limit bytes of memory.
+Measured in fresh processes (BENCH_spf.json):
 * at 10**12 on one worker, 2**24 moves 2.1M of the 13.9M slice lanes
   and ran no faster than 2**23 (slower in 5 of 6 alternating pairs);
 * at 10**13 on two workers, 2**26 moves 36M of 91M and took less CPU
@@ -287,10 +284,10 @@ __all__ = [
 # this many terms, otherwise enumerate divisors of P - 1.  The leaf batch
 # walks the short progressions itself.
 _LONG_PROGRESSION = 512
-# Smallest-factor table sizes (`_spf_limit`): the floor serves the divisor
-# route's factorizations where nothing else reads a table; every other
-# table is capped at the base, or at the top for a catalog from d = 3 at
-# 2**43 or more.
+# Smallest-factor table sizes (`_spf_limit`): the floor is the smallest
+# built, and the only one above 2**62, where the class route reads none;
+# every table is capped at the base, or at the top for a catalog from
+# d = 3 at 2**43 or more.
 _SPF_FLOOR = 1 << 12
 _SPF_BASE = 1 << 23
 _SPF_TOP = 1 << 26
@@ -378,8 +375,6 @@ def _spf_limit(limit: int, d_min: int, reach: int) -> int:
     if limit > _BATCH_LIMIT:
         return _SPF_FLOOR
     cap = _SPF_TOP if d_min == 3 and limit >= 1 << 43 else _SPF_BASE
-    if min_odd_prime_product(d_min - 1) <= cap:
-        reach = limit  # `_factor_fast` may read P - 1 below the cap
     return max(_SPF_FLOOR, min(1 << reach.bit_length(), cap))
 
 

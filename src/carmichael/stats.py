@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from .catalog import Catalog, _factor_range
+from .catalog import Catalog
 from .enumerator import max_factor_count
 from .extremal import RecordSet, scan_records
 from .korselt import CarmichaelEntry
@@ -99,6 +99,18 @@ def validate_checkpoints(cat: Catalog, cps: list[int]) -> None:
             raise ValueError(
                 f"checkpoint {x} exceeds the catalog bound {bound}"
             )
+
+
+def _factor_range(cat: Catalog) -> tuple[int, int | None]:
+    """The factor counts `cat` covers; None for no upper end.
+
+    Without d headers a catalog covers 3..max_factor_count(limit), and
+    without a limit either, every factor count.
+    """
+    d_min = int(cat.provenance.get("d_min", 3))
+    if "d_max" in cat.provenance:
+        return d_min, int(cat.provenance["d_max"])
+    return d_min, None if cat.limit is None else max_factor_count(cat.limit)
 
 
 def _check_factor_range(cat: Catalog) -> None:

@@ -6,7 +6,6 @@ from carmichael import catalog
 from carmichael.catalog import (
     Catalog,
     CatalogFormatError,
-    merge,
     read_catalog,
     write_catalog,
 )
@@ -90,37 +89,6 @@ def test_parse_error_names_line(tmp_path):
         read_catalog(path)
 
 
-def test_merge_idempotent():
-    cat = small_catalog()
-    assert merge([cat, cat]).entries == cat.entries
-
-
-def test_merge_disjoint_halves():
-    full = oracle_enumerate(10**6)
-    half = len(full) // 2
-    a = Catalog(full[:half], {"limit": "1000000"})
-    b = Catalog(full[half:], {"limit": "1000000"})
-    merged = merge([a, b])
-    assert len(merged) == 43
-    assert merged.entries == full
-
-
-def test_merge_by_factor_count_below_100k():
-    # Table row at 10**5: 12 with three factors + 4 with four = 16
-    full = oracle_enumerate(10**5)
-    d3 = Catalog([e for e in full if len(e.factors) == 3], {"limit": "100000"})
-    d4 = Catalog([e for e in full if len(e.factors) == 4], {"limit": "100000"})
-    assert len(d3) == 12 and len(d4) == 4
-    assert len(merge([d3, d4])) == 16
-
-
-def test_merge_keeps_only_entries_below_the_smallest_limit():
-    merged = merge([small_catalog(10**4), small_catalog(10**5)])
-    assert merged.provenance["limit"] == "10000"
-    assert merged.provenance["count"] == "7"
-    assert merged.entries == oracle_enumerate(10**4)
-
-
 def test_a_record_at_or_above_the_limit_is_rejected(tmp_path):
     path = tmp_path / "cat.txt"
     cat = small_catalog(8911)
@@ -131,24 +99,6 @@ def test_a_record_at_or_above_the_limit_is_rejected(tmp_path):
     cat.provenance["limit"] = "8912"
     write_catalog(cat, path)
     assert read_catalog(path).entries == cat.entries
-
-
-def test_merge_conflict_is_integrity_error():
-    a = Catalog([CarmichaelEntry(561, (3, 11, 17))], {})
-    b = Catalog([CarmichaelEntry(561, (3, 187))], {})
-    with pytest.raises(CatalogFormatError, match="conflicting"):
-        merge([a, b])
-
-
-def test_merge_associative_commutative():
-    full = oracle_enumerate(10**5)
-    a = Catalog(full[0::3], {})
-    b = Catalog(full[1::3], {})
-    c = Catalog(full[2::3], {})
-    left = merge([merge([a, b]), c])
-    right = merge([a, merge([b, c])])
-    shuffled = merge([c, a, b])
-    assert left.entries == right.entries == shuffled.entries == full
 
 
 def test_count_header_mismatch_is_rejected(tmp_path):
@@ -193,33 +143,3 @@ def test_a_failed_write_leaves_the_old_file(monkeypatch, tmp_path, name):
         write_catalog(small_catalog(10**5), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [name]
-
-
-def test_merge_carries_the_factor_count_range():
-    full = oracle_enumerate(10**6)
-    d3 = Catalog([e for e in full if len(e.factors) == 3],
-                 {"limit": "1000000", "d_min": "3", "d_max": "3"})
-    d4 = Catalog([e for e in full if len(e.factors) >= 4],
-                 {"limit": "1000000", "d_min": "4", "d_max": "6"})
-    merged = merge([d4, d3])
-    assert merged.entries == full
-    assert merged.provenance == {
-        "mode": "merged", "limit": "1000000", "d_min": "3", "d_max": "6",
-        "count": "43",
-    }
-    assert merge([d4]).provenance["d_min"] == "4"
-    # Without d headers a catalog covers 3..max_factor_count(limit) = 3..6.
-    bare = Catalog(full, {"limit": "1000000"})
-    assert merge([bare, d4]).provenance["d_max"] == "6"
-    # Without a limit either, it covers every factor count.
-    assert "d_max" not in merge([Catalog(full, {}), d3]).provenance
-
-
-def test_merge_refuses_a_gap_in_the_factor_count_range():
-    full = oracle_enumerate(10**6)
-    d3 = Catalog([e for e in full if len(e.factors) == 3],
-                 {"limit": "1000000", "d_min": "3", "d_max": "3"})
-    d5 = Catalog([e for e in full if len(e.factors) >= 5],
-                 {"limit": "1000000", "d_min": "5", "d_max": "6"})
-    with pytest.raises(CatalogFormatError, match="d = 4..4 is missing"):
-        merge([d5, d3])

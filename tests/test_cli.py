@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from carmichael import cli, enumerator, primes, stats
-from carmichael.catalog import merge, read_catalog, write_catalog
+from carmichael.catalog import read_catalog, write_catalog
 from carmichael.cli import exact_int, main
 from carmichael.korselt import CarmichaelEntry
 
@@ -341,6 +341,19 @@ def test_enumerate_refuses_a_sieve_above_its_bound(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_enumerate_refuses_a_missing_directory_before_the_search(
+        tmp_path, capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("enumerate_carmichael ran")
+
+    monkeypatch.setattr(cli, "enumerate_carmichael", search)
+    missing = tmp_path / "missing"
+    args = ["enumerate", "--limit", "1e10", "--out", str(missing / "c.txt")]
+    assert main(args) == 1
+    assert f"no directory {missing} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stats_unknown_table_usage_error(tmp_path, capsys):
     cat_path = tmp_path / "cat.txt"
     main(["enumerate", "--limit", "1e4", "--out", str(cat_path)])
@@ -414,50 +427,9 @@ def test_stats_refuses_a_catalog_restricted_by_factor_count(tmp_path, capsys, re
     capsys.readouterr()
     code = main(["stats", "--input", str(cat_path), "--out-dir", str(tmp_path / "t")])
     assert code == 2
-    assert "3..6" in capsys.readouterr().err
+    held = "4..6" if restrict[0] == "--min-factors" else "3..4"
+    assert f"d = {held} prime factors, not 3..6" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
-
-
-def test_stats_refuses_a_merged_catalog_restricted_by_factor_count(tmp_path, capsys):
-    c4, merged = tmp_path / "c4.txt", tmp_path / "merged.txt"
-    main(["enumerate", "--limit", "1e6", "--min-factors", "4", "--out", str(c4)])
-    capsys.readouterr()
-    write_catalog(merge([read_catalog(c4)]), merged)
-    code = main(["stats", "--input", str(merged), "--out-dir", str(tmp_path / "t")])
-    assert code == 2
-    assert "d = 4..6" in capsys.readouterr().err
-
-
-def test_stats_counts_a_merge_of_the_factor_count_ranges(tmp_path, capsys):
-    c3, c4 = tmp_path / "c3.txt", tmp_path / "c4.txt"
-    merged, out_dir = tmp_path / "merged.txt", tmp_path / "t"
-    main(["enumerate", "--limit", "1e6", "--max-factors", "3", "--out", str(c3)])
-    main(["enumerate", "--limit", "1e6", "--min-factors", "4", "--out", str(c4)])
-    capsys.readouterr()
-    write_catalog(merge([read_catalog(c3), read_catalog(c4)]), merged)
-    args = ["stats", "--input", str(merged), "--out-dir", str(out_dir),
-            "--checkpoints", "1e6"]
-    assert main(args) == 0
-    capsys.readouterr()
-    assert (out_dir / "counts.csv").read_text() == "checkpoint,count\n1000000,43\n"
-
-
-def test_stats_of_a_merge_keeps_to_the_merged_bound(tmp_path, capsys):
-    c4, c5 = tmp_path / "c4.txt", tmp_path / "c5.txt"
-    merged, out_dir = tmp_path / "merged.txt", tmp_path / "t"
-    main(["oracle", "--limit", "1e4", "--out", str(c4)])
-    main(["oracle", "--limit", "1e5", "--out", str(c5)])
-    capsys.readouterr()
-    write_catalog(merge([read_catalog(c4), read_catalog(c5)]), merged)
-    assert read_catalog(merged).values() == [
-        561, 1105, 1729, 2465, 2821, 6601, 8911
-    ]
-    args = ["stats", "--input", str(merged), "--out-dir", str(out_dir),
-            "--checkpoints", "1e4", "--tables", "records"]
-    assert main(args) == 0
-    capsys.readouterr()
-    records = (out_dir / "records.csv").read_text().splitlines()
-    assert "largest_prime_factor,67,8911,7.19.67" in records  # not 52633
 
 
 def test_stats_rejects_a_record_at_or_above_the_limit(tmp_path, capsys):

@@ -242,11 +242,11 @@ def fresh_tables(monkeypatch):
 
 
 def test_tables_of_one_sieve_top_share_the_sieve(fresh_tables):
-    # 10**5 and 150000 both sieve to 2**8, with factor tables of 2**17 and
-    # 2**18: the sieve depends on sieve_top alone.
-    a, b = _Tables.for_limit(10**5), _Tables.for_limit(150_000)
+    # 60000 and 10**5 both sieve to 2**8, with factor tables of 2**15 and
+    # 2**16: the sieve depends on sieve_top alone.
+    a, b = _Tables.for_limit(60_000), _Tables.for_limit(10**5)
     assert a.sieve_top == b.sieve_top == 2**8
-    assert (a.spf_limit, b.spf_limit) == (2**17, 2**18)
+    assert (a.spf_limit, b.spf_limit) == (2**15, 2**16)
     assert a.sieve is b.sieve and a.sieve64 is b.sieve64
     assert a.windows is b.windows
 
@@ -301,28 +301,23 @@ def test_only_the_floor_table_above_2_62(d):
 
 
 @pytest.mark.parametrize("limit, d, size", [
-    (10**5, 3, 2**17), (10**7, 3, 2**23), (10**9, 7, 2**23),
+    (10**5, 3, 2**16), (10**7, 3, 2**22), (10**9, 7, 2**17),
     (2**52, 11, 2**21), (2**54, 11, 2**23)])
 def test_the_factor_table_covers_what_the_run_reads(
         monkeypatch, fresh_tables, limit, d, size):
-    # Up to d = 8 a parent's P - 1 can lie below the cap, where
-    # `_factor_fast` reads it, so the table covers the limit up to the cap;
-    # from d = 9 on no P - 1 can, and it covers the largest leaf reach.
+    # The table covers the largest leaf reach, up to the cap.
     tables = _Tables.for_limit(limit, d)
     assert tables.spf_limit == size
-    reaches, factored = [], []
-    route, factor_fast = _LeafBatch._route, enumerator._factor_fast
+    reaches = []
+    route = _LeafBatch._route
 
     def spy(batch, primes, product, carry, reach, *args):
         reaches.append(reach)
         return route(batch, primes, product, carry, reach, *args)
 
     monkeypatch.setattr(_LeafBatch, "_route", spy)
-    monkeypatch.setattr(enumerator, "_factor_fast",
-                        lambda n, t: factored.append(n) or factor_fast(n, t))
     enumerate_carmichael(EnumerationConfig(limit, d_min=d, d_max=d))
     assert reaches and max(reaches) < size
-    assert all(n < size for n in factored if n < enumerator._SPF_BASE)
 
 
 def test_the_catalog_does_not_depend_on_the_factor_table(monkeypatch,

@@ -152,6 +152,24 @@ def test_report_consistency_and_order_independence(tmp_path):
     assert report2.prime_divisor_counts == report.prime_divisor_counts
 
 
+@pytest.mark.parametrize("provenance, refusal", [
+    # Without d headers a catalog covers 3..max_factor_count(limit) = 3..6,
+    ({"limit": "1000000"}, None),
+    ({"limit": "1000000", "d_min": "4"}, "d = 4..6 prime factors, not 3..6"),
+    # and without a limit either, every factor count.
+    ({}, None),
+    ({"d_min": "4"}, "d = 4.."),
+])
+def test_the_factor_counts_a_catalog_covers_default_from_its_limit(
+        provenance, refusal):
+    cat = Catalog(oracle_enumerate(10**6), provenance)
+    if refusal is None:
+        assert build_report(cat, [10**5]).counts == {10**5: 16}
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            build_report(cat, [10**5])
+
+
 def test_write_report_files(tmp_path):
     report = build_report(catalog_1e6())
     written = write_report(report, tmp_path)
