@@ -3,11 +3,7 @@
 __version__ = "0.1.0"
 
 from .catalog import Catalog, read_catalog, write_catalog
-from .enumerator import (
-    EnumerationConfig,
-    enumerate_carmichael,
-    max_factor_count,
-)
+from .enumerator import enumerate_carmichael, max_factor_count
 from .extremal import RecordSet, scan_records, smallest_with_factors
 from .korselt import CarmichaelEntry, fermat_scan, korselt_failure
 from .primes import Factorization, factorize, is_prime, prime_sieve
@@ -16,7 +12,6 @@ __all__ = [
     "__version__",
     "Catalog",
     "CarmichaelEntry",
-    "EnumerationConfig",
     "Factorization",
     "RecordSet",
     "enumerate_carmichael",

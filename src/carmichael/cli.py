@@ -24,7 +24,6 @@ from .catalog import (
     write_catalog,
 )
 from .enumerator import (
-    EnumerationConfig,
     default_worker_count,
     enumerate_carmichael,
     max_factor_count,
@@ -78,12 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=exact_int, required=True)
     p.add_argument("--min-factors", type=int, default=3)
     p.add_argument("--max-factors", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=default_worker_count())
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("smallest", help="smallest Carmichael number with d prime factors")
     p.add_argument("--factors", type=int, required=True, metavar="D")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=default_worker_count())
 
     p = sub.add_parser("verify", help="check numbers against Korselt's criterion")
     p.add_argument("numbers", nargs="*", type=exact_int, metavar="N")
@@ -123,25 +122,20 @@ def _progress_printer(label: str):
 
 
 def _cmd_enumerate(args) -> int:
-    jobs = args.jobs if args.jobs is not None else default_worker_count()
-    config = EnumerationConfig(
-        limit=args.limit,
-        d_min=args.min_factors,
-        d_max=args.max_factors,
-        worker_count=jobs,
-    )
     # Refused before the search, which can take hours, not after it.
     if not args.out.parent.is_dir():
         raise OSError(f"no directory {args.out.parent} to write {args.out} in")
-    cat = enumerate_carmichael(config, progress=_progress_printer("enumerate"))
+    if args.out.is_dir():
+        raise OSError(f"{args.out} is a directory, not a catalog file")
+    cat = enumerate_carmichael(args.limit, args.min_factors, args.max_factors,
+                               args.jobs, _progress_printer("enumerate"))
     write_catalog(cat, args.out)
     print(f"count={len(cat)} limit={args.limit}")
     return 0
 
 
 def _cmd_smallest(args) -> int:
-    jobs = args.jobs if args.jobs is not None else default_worker_count()
-    entry = smallest_with_factors(args.factors, worker_count=jobs)
+    entry = smallest_with_factors(args.factors, worker_count=args.jobs)
     note = _bpsw_note(entry)
     if note:
         print(note, file=sys.stderr)

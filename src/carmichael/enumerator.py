@@ -245,11 +245,14 @@ Work is partitioned into tasks (d, prefix, lo, hi), the children
 sieve[lo:hi] of one node of at most d - 3 primes: the root () for d = 3
 and (p1,) deeper.  `_seed_tasks` gives each child a task of its own, and
 any cut of a node's children into ranges searches the same tree.
-`_chunk` cuts the tasks into about 8 batches per worker (9 on one worker
-and 17 on two, at 10**11 and at 10**12, where the last batch holds 2
-tasks at 10**11 and 5 or 13 at 10**12), each run by `_worker_run` under
-one leaf batch, in this process or on a fork pool.  Workers are
-capped at the CPU count.  Results are merged, sorted and checked for
+`_chunk` stripes the tasks over 8 batches per worker (fewer only when
+there are fewer tasks): batch i takes every (8 * workers)-th task from
+the i-th, so batch sizes differ by at most one and each batch gets the
+same mix of d and p1.  Cut by count, the tasks' (d, p1, p2) order would
+pile the deep ones into one batch near the end: at 10**13 one batch of
+17 held 13.0 of 34.5 CPU s.  Each batch is run by `_worker_run` under
+one leaf batch, in this process or on a fork pool.  Workers are capped
+at the CPU count.  Results are merged, sorted and checked for
 duplicates, so output is identical for any worker count and any flush
 boundaries; the merge also validates every entry, the engine's one full
 check of Korselt's criterion.
@@ -275,7 +278,6 @@ from .korselt import PAPER_COUNTS, CarmichaelEntry
 from .primes import factorize, is_prime, prime_sieve, smallest_factor_table
 
 __all__ = [
-    "EnumerationConfig",
     "max_factor_count",
     "enumerate_carmichael",
 ]
@@ -344,29 +346,6 @@ def min_odd_prime_product(count: int) -> int:
             p += 2
         product *= p
     return product
-
-
-@dataclass(frozen=True)
-class EnumerationConfig:
-    limit: int
-    d_min: int = 3
-    d_max: int | None = None
-    worker_count: int = 1
-
-    def resolved_d_max(self) -> int:
-        if self.d_max is None:
-            return max_factor_count(self.limit)
-        return self.d_max
-
-    def validate(self) -> None:
-        if self.limit < 2:
-            raise ValueError("limit must be at least 2")
-        if self.worker_count < 1:
-            raise ValueError("worker count must be positive")
-        d_max, cap = self.resolved_d_max(), max_factor_count(self.limit)
-        if not 3 <= self.d_min <= d_max <= cap:
-            raise ValueError(f"need 3 <= d_min <= d_max <= max_factor_count"
-                             f"(limit) = {cap}, got [{self.d_min}, {d_max}]")
 
 
 def _spf_limit(limit: int, d_min: int, reach: int) -> int:
@@ -833,7 +812,8 @@ def _descend(leaves: _LeafBatch, d: int, primes: tuple[int, ...], product: int,
 # Task partitioning and the public entry point.
 
 
-def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
+def _seed_tasks(limit: int, d_min: int, d_max: int,
+                tables: _Tables) -> list[tuple]:
     """Search tasks (d, prefix, lo, hi): the children sieve[lo:hi] of the
     node `prefix`, which is () for d = 3 and (p1,) for deeper targets.
 
@@ -842,9 +822,9 @@ def _seed_tasks(config: EnumerationConfig, tables: _Tables) -> list[tuple]:
     tree.  The bounds are `_descend`'s, and the prune is left to
     `_descend`, which applies it to every child of a task.
     """
-    limit, sieve = config.limit, tables.sieve
+    sieve = tables.sieve
     tasks: list[tuple] = []
-    for d in range(config.d_min, config.resolved_d_max() + 1):
+    for d in range(d_min, d_max + 1):
         # Index 0 of the sieve is 2, which the prune of the root
         # (P = L = 1) lets through, so the odd primes start at 1.
         hi = tables.child_end(limit - 1, d)
@@ -910,26 +890,38 @@ def _tune_malloc() -> None:
     mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
-def enumerate_carmichael(
-    config: EnumerationConfig, progress=None
-) -> Catalog:
-    """The complete ascending catalog of Carmichael numbers < limit.
+def enumerate_carmichael(limit: int, d_min: int = 3, d_max: int | None = None,
+                         worker_count: int = 1, progress=None) -> Catalog:
+    """The ascending catalog of Carmichael numbers < limit with d_min to
+    d_max prime factors; d_max defaults to `max_factor_count(limit)`, which
+    makes the catalog complete.
 
-    The worker count is capped at `default_worker_count()`.  `_chunk` cuts
-    the tasks into about 8 batches per worker, and each batch runs through
-    `_worker_run`: in this process for one worker (or a single batch), on
-    a fork pool otherwise.  `progress(done, total)` counts finished tasks
-    after each batch.  Output is independent of the worker count.  Raises
+    Raises `ValueError`, before it tunes malloc or builds any table, for a
+    limit below 2, a worker count below 1, or unless
+    3 <= d_min <= d_max <= max_factor_count(limit).  The worker count is
+    capped at `default_worker_count()`.  `_chunk` stripes the tasks over
+    8 batches per worker, and each batch runs through `_worker_run`:
+    in this process for one worker (or a single batch), on a fork pool
+    otherwise.  `progress(done, total)` counts finished tasks after each
+    batch.  Output is independent of the worker count.  Raises
     `RuntimeError` when an entry fails Korselt's criterion or, for a full
     catalog, a published count C(10**n) differs (`_check_decades`).
     """
-    config.validate()
+    if limit < 2:
+        raise ValueError("limit must be at least 2")
+    if worker_count < 1:
+        raise ValueError("worker count must be positive")
+    full = max_factor_count(limit)
+    if d_max is None:
+        d_max = full
+    if not 3 <= d_min <= d_max <= full:
+        raise ValueError(f"need 3 <= d_min <= d_max <= max_factor_count"
+                         f"(limit) = {full}, got [{d_min}, {d_max}]")
     _tune_malloc()  # before the fork pool starts, so workers inherit it
-    workers = min(config.worker_count, default_worker_count())
-    tables = _Tables.for_limit(config.limit, config.d_min)
-    tasks = _seed_tasks(config, tables)
-    jobs = [(config.limit, config.d_min, batch)
-            for batch in _chunk(tasks, workers)]
+    workers = min(worker_count, default_worker_count())
+    tables = _Tables.for_limit(limit, d_min)
+    tasks = _seed_tasks(limit, d_min, d_max, tables)
+    jobs = [(limit, d_min, batch) for batch in _chunk(tasks, workers)]
     raw: list = []
     done = 0
     with contextlib.ExitStack() as stack:
@@ -958,13 +950,12 @@ def enumerate_carmichael(
             raise RuntimeError(f"the search emitted a number that is not "
                                f"Carmichael: {exc}") from exc
         entries.append(entry)
-    full = max_factor_count(config.limit)
-    if (config.d_min, config.resolved_d_max()) == (3, full):
-        _check_decades([entry.value for entry in entries], config.limit)
+    if (d_min, d_max) == (3, full):
+        _check_decades([entry.value for entry in entries], limit)
     # No worker count here: it provably does not affect the content, and
     # equal catalogs must serialize byte-identically.
-    return Catalog(entries, complete_provenance(
-        config.limit, config.d_min, config.resolved_d_max(), len(entries)))
+    return Catalog(entries,
+                   complete_provenance(limit, d_min, d_max, len(entries)))
 
 
 def _check_decades(numbers: list[int], limit: int) -> None:
@@ -986,9 +977,10 @@ def _check_decades(numbers: list[int], limit: int) -> None:
 
 
 def _chunk(tasks: list, workers: int) -> list[list]:
-    # Aim for several batches per worker so stragglers even out.
-    per = max(1, len(tasks) // (workers * 8))
-    return [tasks[i : i + per] for i in range(0, len(tasks), per)]
+    # About 8 batches per worker, so stragglers even out, each a stripe of
+    # every 8 * workers-th task, so each gets the same mix of d and p1.
+    n = min(len(tasks), 8 * workers)
+    return [tasks[i::n] for i in range(n)]
 
 
 def default_worker_count() -> int:

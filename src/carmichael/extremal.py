@@ -5,11 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import Catalog
-from .enumerator import (
-    EnumerationConfig,
-    enumerate_carmichael,
-    min_odd_prime_product,
-)
+from .enumerator import enumerate_carmichael, min_odd_prime_product
 from .korselt import CarmichaelEntry
 
 __all__ = ["RecordSet", "smallest_with_factors", "scan_records"]
@@ -27,11 +23,7 @@ def smallest_with_factors(d: int, worker_count: int = 1) -> CarmichaelEntry:
         raise ValueError(f"supported factor counts are 3..20, got {d}")
     bound = min_odd_prime_product(d) * 2
     while True:
-        cat = enumerate_carmichael(
-            EnumerationConfig(
-                bound, d_min=d, d_max=d, worker_count=worker_count
-            )
-        )
+        cat = enumerate_carmichael(bound, d, d, worker_count)
         if cat.entries:
             return cat.entries[0]
         bound *= 2

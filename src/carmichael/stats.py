@@ -120,11 +120,12 @@ def _check_factor_range(cat: Catalog) -> None:
     every count taken from it would be short.
     """
     d_min, d_max = _factor_range(cat)
-    full = max_factor_count(cat.limit) if cat.limit is not None else 3
-    if d_min > 3 or (d_max is not None and d_max < full):
+    # Without a limit every factor count belongs: an open range, "3..".
+    full = max_factor_count(cat.limit) if cat.limit is not None else None
+    if d_min > 3 or (None not in (d_max, full) and d_max < full):
         raise ValueError(
-            f"the catalog holds only d = {d_min}..{d_max} prime factors,"
-            f" not 3..{full}: its counts would be short"
+            f"the catalog holds only d = {d_min}..{d_max or ''} prime"
+            f" factors, not 3..{full or ''}: its counts would be short"
         )
 
 

@@ -354,6 +354,37 @@ def test_enumerate_refuses_a_missing_directory_before_the_search(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_enumerate_refuses_an_existing_directory_before_the_search(
+        tmp_path, capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("enumerate_carmichael ran")
+
+    monkeypatch.setattr(cli, "enumerate_carmichael", search)
+    (tmp_path / "kept.txt").write_text("kept\n")
+    args = ["enumerate", "--limit", "1e10", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert f"{tmp_path} is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--limit", "1e6"], ["smallest", "--factors", "13"]])
+def test_no_workers_is_a_usage_error_before_any_table(tmp_path, capsys,
+                                                      monkeypatch, command):
+    def build(*args):
+        raise AssertionError("a search table was built")
+
+    monkeypatch.setattr(enumerator, "_build_tables", build)
+    out = tmp_path / "j.txt"
+    args = command + ["--jobs", "0"]
+    if command[0] == "enumerate":
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    assert "worker count must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stats_unknown_table_usage_error(tmp_path, capsys):
     cat_path = tmp_path / "cat.txt"
     main(["enumerate", "--limit", "1e4", "--out", str(cat_path)])

@@ -14,7 +14,6 @@ from carmichael import enumerator
 from carmichael.arith import iroot
 from carmichael.catalog import write_catalog
 from carmichael.enumerator import (
-    EnumerationConfig,
     _check_decades,
     _chunk,
     _complete_final,
@@ -67,11 +66,11 @@ def test_seed_tasks_cover_every_prefix():
     tables = _Tables.for_limit(10**3)
     # p1 <= iroot(999, 3) = 9, and p1 * p2 * p3 >= 7 * 11 * 13 = 1001
     # excludes p1 = 7: the root's children 3 and 5, one task each.
-    assert _seed_tasks(EnumerationConfig(10**3), tables) == [
+    assert _seed_tasks(10**3, 3, max_factor_count(10**3), tables) == [
         (3, (), 1, 2), (3, (), 2, 3)]
     limit = 10**6
     tables = _Tables.for_limit(limit)
-    tasks = _seed_tasks(EnumerationConfig(limit), tables)
+    tasks = _seed_tasks(limit, 3, max_factor_count(limit), tables)
     # The root's range starts past the prime 2, which its prune passes.
     assert all(lo >= 1 for _, _, lo, _ in tasks)
     assert {len(prefix) for d, prefix, _, _ in tasks if d > 3} == {1}
@@ -109,14 +108,13 @@ def cut(tasks, rng):
 @pytest.mark.parametrize("limit, d", [(10**7, None), (2**64, 12)])
 def test_any_cut_of_the_task_ranges_gives_the_same_catalog(monkeypatch,
                                                            limit, d):
-    config = EnumerationConfig(limit, d_min=d or 3, d_max=d)
-    reference = enumerate_carmichael(config).entries
+    reference = enumerate_carmichael(limit, d or 3, d).entries
     assert len(reference) == (105 if d is None else 5)
     seed, rng = enumerator._seed_tasks, random.Random(limit)
     for recut in (joined, lambda tasks: cut(joined(tasks), rng)):
         monkeypatch.setattr(enumerator, "_seed_tasks",
                             lambda *args: recut(seed(*args)))
-        assert enumerate_carmichael(config).entries == reference
+        assert enumerate_carmichael(limit, d or 3, d).entries == reference
 
 
 def brute_child_range(primes, d, limit, sieve):
@@ -316,7 +314,7 @@ def test_the_factor_table_covers_what_the_run_reads(
         return route(batch, primes, product, carry, reach, *args)
 
     monkeypatch.setattr(_LeafBatch, "_route", spy)
-    enumerate_carmichael(EnumerationConfig(limit, d_min=d, d_max=d))
+    enumerate_carmichael(limit, d, d)
     assert reaches and max(reaches) < size
 
 
@@ -327,7 +325,7 @@ def test_the_catalog_does_not_depend_on_the_factor_table(monkeypatch,
     sizes = [enumerator._SPF_FLOOR, 2**21, 2**23, 2**25]
     for size in sizes:
         monkeypatch.setattr(enumerator, "_spf_limit", lambda *args: size)
-        cat = enumerate_carmichael(EnumerationConfig(10**9))
+        cat = enumerate_carmichael(10**9)
         assert _Tables.for_limit(10**9).spf_limit == size
         write_catalog(cat, tmp_path / f"{size}.txt")
     first = (tmp_path / f"{sizes[0]}.txt").read_bytes()
@@ -392,13 +390,12 @@ def test_a_crashing_search_task_names_itself(monkeypatch, workers):
         raise ZeroDivisionError(f"boom at {primes}")
 
     monkeypatch.setattr(enumerator, "_complete_final", crash)
-    config = EnumerationConfig(10**6, worker_count=workers)
     with pytest.raises(
         RuntimeError,
         match=r"^search task d=\d+ prefix=\((\d+,)?\) children \[\d+, \d+\) "
               r"failed: boom at \("
     ) as info:
-        enumerate_carmichael(config)
+        enumerate_carmichael(10**6, worker_count=workers)
     if workers == 1:
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
@@ -414,7 +411,7 @@ def test_a_route_fault_stops_the_run(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_class_values", shifted)
     with pytest.raises(RuntimeError, match="63895231") as info:
-        enumerate_carmichael(EnumerationConfig(10**8))
+        enumerate_carmichael(10**8)
     assert isinstance(info.value.__cause__, ValueError)
 
 
@@ -429,7 +426,7 @@ def test_a_lost_number_stops_a_full_run(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_class_values", short)
     with pytest.raises(RuntimeError, match="the published count is 255"):
-        enumerate_carmichael(EnumerationConfig(10**8))
+        enumerate_carmichael(10**8)
 
 
 def test_the_decade_check_reads_published_counts_up_to_the_limit():
@@ -444,10 +441,11 @@ def test_the_decade_check_reads_published_counts_up_to_the_limit():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_counts_finished_tasks(workers):
-    config = EnumerationConfig(10**7, worker_count=workers)
-    tasks = _seed_tasks(config, _Tables.for_limit(config.limit))
+    tasks = _seed_tasks(10**7, 3, max_factor_count(10**7),
+                        _Tables.for_limit(10**7))
     calls = []
-    enumerate_carmichael(config, progress=lambda *call: calls.append(call))
+    enumerate_carmichael(10**7, worker_count=workers,
+                         progress=lambda *call: calls.append(call))
     # One call per batch, so more than one, each with the task total.
     assert len(calls) > 1
     assert all(total == len(tasks) for _, total in calls)
@@ -457,25 +455,25 @@ def test_progress_counts_finished_tasks(workers):
 
 
 def test_enumerate_small_limits():
-    cat = enumerate_carmichael(EnumerationConfig(10**4, d_min=3, d_max=3))
+    cat = enumerate_carmichael(10**4, 3, 3)
     assert len(cat) == 7
-    cat = enumerate_carmichael(EnumerationConfig(10**9, d_min=7, d_max=7))
+    cat = enumerate_carmichael(10**9, 7, 7)
     assert len(cat) == 0
 
 
 def test_enumerate_matches_oracle_to_one_million():
-    cat = enumerate_carmichael(EnumerationConfig(10**6))
+    cat = enumerate_carmichael(10**6)
     oracle = oracle_enumerate(10**6)
     assert cat.entries == oracle
 
 
 def test_enumerate_strict_upper_bound():
-    assert len(enumerate_carmichael(EnumerationConfig(561))) == 0
-    assert len(enumerate_carmichael(EnumerationConfig(562))) == 1
+    assert len(enumerate_carmichael(561)) == 0
+    assert len(enumerate_carmichael(562)) == 1
 
 
 def test_enumerate_matches_oracle_to_ten_million():
-    cat = enumerate_carmichael(EnumerationConfig(10**7))
+    cat = enumerate_carmichael(10**7)
     assert len(cat) == 105
     assert cat.entries == oracle_enumerate(10**7)
 
@@ -483,9 +481,7 @@ def test_enumerate_matches_oracle_to_ten_million():
 def test_worker_counts_agree():
     reference = None
     for workers in (1, 4, 16):
-        cat = enumerate_carmichael(
-            EnumerationConfig(10**6, worker_count=workers)
-        )
+        cat = enumerate_carmichael(10**6, worker_count=workers)
         if reference is None:
             reference = cat.entries
         assert cat.entries == reference
@@ -518,12 +514,26 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
                         lambda method: SimpleNamespace(Pool=Pool))
     monkeypatch.setattr(enumerator, "_worker_run", worker_run)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    config = EnumerationConfig(10**7, worker_count=100_000)
-    cat = enumerate_carmichael(config)
+    cat = enumerate_carmichael(10**7, worker_count=100_000)
     assert pools == [2]
-    tasks = _seed_tasks(config, _Tables.for_limit(config.limit))
+    tasks = _seed_tasks(10**7, 3, max_factor_count(10**7),
+                        _Tables.for_limit(10**7))
     assert batches == _chunk(tasks, 2)
     assert cat.entries == oracle_enumerate(10**7)
+
+
+@pytest.mark.parametrize("count", [0, 7, 17, 82_676])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_batches_stripe_the_tasks(count, workers):
+    tasks = list(range(count))
+    batches = _chunk(tasks, workers)
+    assert sorted(t for batch in batches for t in batch) == tasks
+    assert len(batches) == min(count, 8 * workers)
+    if batches:
+        assert all(batches)
+        assert max(map(len, batches)) - min(map(len, batches)) <= 1
+        # A stripe: each batch takes every len(batches)-th task.
+        assert batches[-1] == tasks[len(batches) - 1::len(batches)]
 
 
 def _libc_has_mallopt() -> bool:
@@ -535,11 +545,10 @@ def _libc_has_mallopt() -> bool:
 
 WARM_RUN = """
 import resource
-from carmichael.enumerator import EnumerationConfig, enumerate_carmichael
-config = EnumerationConfig(10**10)
-enumerate_carmichael(config)  # builds the tables and warms the heap
+from carmichael.enumerator import enumerate_carmichael
+enumerate_carmichael(10**10)  # builds the tables and warms the heap
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-cat = enumerate_carmichael(config)
+cat = enumerate_carmichael(10**10)
 print(len(cat), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -569,12 +578,12 @@ def test_malloc_tuning_is_a_no_op_without_mallopt(monkeypatch, load):
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert enumerator._tune_malloc() is None
-    assert len(enumerate_carmichael(EnumerationConfig(10**6))) == 43
+    assert len(enumerate_carmichael(10**6)) == 43
     assert loads == [None, None]
 
 
 def test_emitted_entries_satisfy_invariants():
-    cat = enumerate_carmichael(EnumerationConfig(10**7))
+    cat = enumerate_carmichael(10**7)
     for e in cat.entries:
         e.validate()  # ascending odd primes, square-free, Korselt
         assert e.value % 2 == 1
@@ -584,27 +593,37 @@ def test_emitted_entries_satisfy_invariants():
 
 
 def test_counts_by_d_at_1e8():
-    cat = enumerate_carmichael(EnumerationConfig(10**8))
+    cat = enumerate_carmichael(10**8)
     assert len(cat) == 255
     assert by_factor_count(cat) == {3: 84, 4: 144, 5: 27}
 
 
 def test_catalog_provenance_header():
-    cat = enumerate_carmichael(EnumerationConfig(10**5))
+    cat = enumerate_carmichael(10**5)
     assert cat.provenance["limit"] == "100000"
     assert cat.provenance["count"] == "16"
     assert cat.provenance["d_min"] == "3"
     assert cat.provenance["d_max"] == "5"
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        EnumerationConfig(10**6, d_min=2).validate()
-    with pytest.raises(ValueError):
-        EnumerationConfig(10**6, d_min=5, d_max=4).validate()
-    with pytest.raises(ValueError):
-        EnumerationConfig(10**6, worker_count=0).validate()
-    with pytest.raises(ValueError):
-        # max_factor_count(10**6) = 6: the product 3*5*...*17 is 255255
-        EnumerationConfig(10**6, d_max=7).validate()
-    EnumerationConfig(10**6, d_max=6).validate()
+@pytest.mark.parametrize("args, refusal", [
+    ({"limit": 1}, "limit must be at least 2"),
+    ({"limit": 10**6, "d_min": 2}, r"got \[2, 6\]"),
+    ({"limit": 10**6, "d_min": 5, "d_max": 4}, r"got \[5, 4\]"),
+    # max_factor_count(10**6) = 6: the product 3*5*...*17 is 255255
+    ({"limit": 10**6, "d_max": 7}, r"\(limit\) = 6, got \[3, 7\]"),
+    ({"limit": 10**6, "worker_count": 0}, "worker count must be positive"),
+], ids=["limit 1", "d_min 2", "d_min above d_max", "d_max 7", "no worker"])
+def test_bad_arguments_are_refused_before_any_table(monkeypatch, args,
+                                                    refusal):
+    calls = []
+    for name in ("_tune_malloc", "_build_tables", "_spf_table"):
+        monkeypatch.setattr(enumerator, name,
+                            lambda *a, name=name: calls.append(name))
+    with pytest.raises(ValueError, match=refusal):
+        enumerate_carmichael(**args)
+    assert calls == []
+
+
+def test_the_largest_factor_count_is_accepted():
+    assert len(enumerate_carmichael(10**6, d_max=6)) == 43

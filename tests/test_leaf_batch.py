@@ -31,7 +31,6 @@ from carmichael import enumerator
 from carmichael.arith import iroot
 from carmichael.catalog import write_catalog
 from carmichael.enumerator import (
-    EnumerationConfig,
     _build_tables,
     _class_values,
     _complete_final,
@@ -42,6 +41,7 @@ from carmichael.enumerator import (
     _spf_table,
     _Tables,
     enumerate_carmichael,
+    max_factor_count,
 )
 from carmichael.primes import factorize, is_prime
 
@@ -134,8 +134,8 @@ def record(limit, tables, d=None):
     """A `_Recorder` of a whole search below limit, for every factor count
     or for d alone."""
     recorder = _Recorder(limit, tables)
-    config = EnumerationConfig(limit, d_min=d or 3, d_max=d)
-    for task in _seed_tasks(config, tables):
+    for task in _seed_tasks(limit, d or 3, d or max_factor_count(limit),
+                            tables):
         _run_task_impl(task, recorder, False)
     return recorder
 
@@ -606,8 +606,7 @@ def test_catalogs_from_one_and_two_workers_are_byte_identical(tmp_path):
     paths = []
     for workers in (1, 2):
         path = tmp_path / f"j{workers}.txt"
-        write_catalog(enumerate_carmichael(
-            EnumerationConfig(10**8, worker_count=workers)), path)
+        write_catalog(enumerate_carmichael(10**8, worker_count=workers), path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -711,14 +710,13 @@ def test_limits_above_2_62_queue_nothing(monkeypatch):
 
     monkeypatch.setattr(_LeafBatch, "flush", spy)
     routes = RouteSpy(monkeypatch)
-    config = EnumerationConfig(2**64, d_min=12, d_max=12)
-    batched = enumerate_carmichael(config).entries
+    batched = enumerate_carmichael(2**64, 12, 12).entries
     assert len(batched) == 5 and flushed and sum(flushed) == 0
     assert routes.walks and routes.loops
     for ratio in (0, 10**9):
         set_ratio(monkeypatch, ratio)
         walks, loops = len(routes.walks), len(routes.loops)
-        assert enumerate_carmichael(config).entries == batched
+        assert enumerate_carmichael(2**64, 12, 12).entries == batched
         # Only the forced route runs: loops at ratio 0, walks at 10**9.
         walked, looped = len(routes.walks) > walks, len(routes.loops) > loops
         assert (walked, looped) == (ratio != 0, ratio == 0)
@@ -726,9 +724,8 @@ def test_limits_above_2_62_queue_nothing(monkeypatch):
 
 
 def test_each_parent_above_2_62_takes_the_route_its_class_picks(monkeypatch):
-    config = EnumerationConfig(2**64, d_min=12, d_max=12)
-    tables = _Tables.for_limit(config.limit, config.d_min)
-    reference = enumerate_carmichael(config).entries
+    tables = _Tables.for_limit(2**64, 12)
+    reference = enumerate_carmichael(2**64, 12, 12).entries
     routes = RouteSpy(monkeypatch)
     sizes, nodes = {}, []
     route, descend = _LeafBatch._route, enumerator._descend
@@ -748,7 +745,7 @@ def test_each_parent_above_2_62_takes_the_route_its_class_picks(monkeypatch):
 
     monkeypatch.setattr(_LeafBatch, "_route", route_spy)
     monkeypatch.setattr(enumerator, "_descend", descend_spy)
-    assert enumerate_carmichael(config).entries == reference
+    assert enumerate_carmichael(2**64, 12, 12).entries == reference
     # `add_children` forms every leaf parent; no node of d - 2 primes is
     # visited.
     assert max(nodes) == 12 - 3

@@ -158,7 +158,8 @@ def test_report_consistency_and_order_independence(tmp_path):
     ({"limit": "1000000", "d_min": "4"}, "d = 4..6 prime factors, not 3..6"),
     # and without a limit either, every factor count.
     ({}, None),
-    ({"d_min": "4"}, "d = 4.."),
+    # The refusal names the open ranges: no "None", and no upper end of 3.
+    ({"d_min": "4"}, "d = 4.. prime factors, not 3..: its counts"),
 ])
 def test_the_factor_counts_a_catalog_covers_default_from_its_limit(
         provenance, refusal):

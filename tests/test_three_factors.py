@@ -18,7 +18,7 @@ divisors here are by trial division.
 
 import math
 
-from carmichael.enumerator import EnumerationConfig, enumerate_carmichael
+from carmichael.enumerator import enumerate_carmichael
 
 
 def is_prime(n):
@@ -65,7 +65,7 @@ def test_formula_finds_the_first_three_factor_numbers():
 def test_engine_three_factor_numbers_match_the_formula():
     # d = 3 alone at 10**12 takes about a second.
     limit, least_below = 10**12, 300
-    cat = enumerate_carmichael(EnumerationConfig(limit, d_min=3, d_max=3))
+    cat = enumerate_carmichael(limit, 3, 3)
     engine = [(e.value, e.factors) for e in cat.entries
               if e.factors[0] < least_below]
     assert engine == three_factor_numbers(least_below, limit)
