@@ -79,16 +79,30 @@ C(10**n) with the published count for every 10**n <= limit
 Batched leaf layer
 ------------------
 Nearly all of the work is closing leaves, and most leaves emit nothing:
-at 10**11 the first term t of the progression already exceeds
-rmax = (limit - 1) // (P * p) for 87% of them.  So the descent stops two
-levels early, at d - 3 primes, and hands each node there to a
-`_LeafBatch`, whose `add_children` forms the node's leaf parents of
-d - 2 primes, each with its reach R = (limit - 1) // P and its slice of
-the sieve (the candidates p for the last-but-one prime).
+of the slice candidates p that pass the prune, the first term of the
+progression already exceeds rmax (below) for 79% at 10**11 and 87% at
+10**12.  So the descent stops two levels early, at d - 3 primes, and
+hands each node there to a `_LeafBatch`, whose `add_children` forms the
+node's leaf parents of d - 2 primes, each with its reach
+R = (limit - 1) // P and its slice of the sieve (the candidates p for
+the last-but-one prime).
 
-At or below 2**62 (`_BATCH_LIMIT`) the batch queues the parent.  Once
-`_FLUSH` = 2**14 candidates are queued, across tasks, one int64 numpy
-pass expands the slices, applies the pruning of the descent, forms
+The last prime q of a completion P2 * q is capped by its own divisor
+condition: (q - 1) | (P2 - 1), so k = (P2 - 1) / (q - 1) is an integer;
+k = 1 would make q = P2, which is not prime, as P2 is a product of at
+least two primes; so k >= 2 and q <= (P2 + 1) // 2.  The slice flush
+and `_complete_final` take rmax = min((limit - 1) // P2, (P2 + 1) // 2),
+which drops only terms that fail (P2 - 1) % (r - 1) == 0;
+561 = 3 * 11 * 17 and many more meet the cap exactly.  At 10**11 the cap
+cuts the terms the flush expands from 5.43M to 2.27M and the long
+progressions from 8,837 to 200; at 10**12 from 19.8M to 9.7M and from
+32,235 to 1,805.
+
+At or below 2**62 (`_BATCH_LIMIT`) the batch queues the parent: its
+slice, or its class of p * q (Residue-class route).  Each queue closes
+on its own once it holds `_FLUSH` = 2**14 lanes, across tasks, and the
+end of a batch closes both.  Closing the slice queue is one int64 numpy
+pass: it expands the slices, applies the pruning of the descent, forms
 L2 = lcm(L, p - 1), P2 = P * p and rmax, takes t = P2^-1 (mod L2) by a
 lane-wise extended Euclid (`_inverse_mod`) and drops the lanes with no
 term in (p, rmax].  It tests every progression of at most
@@ -97,12 +111,18 @@ terms about `_PIECE` at a time so that memory does not grow with the
 spans; only the hits reach `is_prime`, and `_complete_final` closes the
 longer ones by the divisor route.  The batch spans tasks because
 per-prefix or per-task batches are too small to pay for numpy's per-call
-cost.  Flushes of 2**14 to 2**16 candidates
-run equally fast at 10**11 and 10**12, 2**13 is 15% slower, and larger
-flushes hold more memory: at 10**11, over six runs in one process, peak
-RSS is 48.4 MiB with 2**14 and 64.5 MiB with 2**16, against 40.7 MiB
-when every parent is closed in Python ints (`_BATCH_LIMIT` = 0); at
-10**12 a single run peaks at 55 MiB with 2**14 and 126 MiB with 2**18.
+cost, which each of the Euclid's steps pays again.  When a full class
+queue also closed the slice queue, the class queue filled first and the
+slice queue closed 451 times at 10**11 with 4.9K lanes on average;
+closed on its own it closes 138 times with 15.9K (at 10**12, 1,501 times
+with 9.3K against 851 with 16.3K), and `_inverse_mod` takes about a
+third less time.  While the queues still closed together, flushes of
+2**14 to 2**16 candidates ran equally fast at 10**11 and 10**12, 2**13
+was 15% slower, and larger flushes held more memory: at 10**11, over
+six runs in one process, peak RSS was 48.4 MiB with 2**14 and 64.5 MiB
+with 2**16, against 40.7 MiB when every parent is closed in Python ints
+(`_BATCH_LIMIT` = 0); at 10**12 a single run peaked at 55 MiB with 2**14
+and 126 MiB with 2**18.
 
 A flush's int64 temporaries of 2**14 lanes are 128 KiB, glibc's default
 mmap threshold, so at glibc's defaults every flush maps, faults in and
@@ -136,8 +156,8 @@ exceeds every p - 1, so it divides none), and prunes by one int64 `%` per
 column, each about 20x cheaper than `np.gcd` on the same lane.
 
 Int64 is exact at or below 2**62: candidates obey P * p**2 < limit, so
-P2 < limit; rmax = R // p equals (limit - 1) // (P * p) (flooring by P
-and then by p floors by P * p), and rmax <= R < limit; L2 divides the
+P2 < limit; R // p equals (limit - 1) // (P * p) (flooring by P and then
+by p floors by P * p), and rmax <= R < limit; L2 divides the
 product of the (pi - 1), so L2 < P2; t < L2; the first term above p is
 at most p + L2, and the Euclid's cofactors and products stay within
 2 * L2.  So every value formed is below 2 * limit <= 2**63.
@@ -304,8 +324,8 @@ _CLASS_RATIO = 16
 # its int64 lanes form stays below 2 * limit; above it `_LeafBatch._route`
 # closes each parent at once, in Python ints (module docstring).
 _BATCH_LIMIT = 1 << 62
-# Candidate primes, or class values, pending on either queue of the batched
-# leaf layer before it flushes.
+# Candidate primes, or class values, pending on one queue of the batched
+# leaf layer before that queue closes.
 _FLUSH = 1 << 14
 # Progression terms a flush expands at once, give or take one progression.
 _PIECE = 4 * _FLUSH
@@ -492,11 +512,17 @@ def _complete_final(
     """Emit every Carmichael P*q < limit extending a d-1 prime prefix.
 
     gcd(P, L) = 1 holds by construction (pruned during descent), so the
-    inverse below always exists.  Each route keeps a prime q with
-    q = P^-1 (mod L) and (q - 1) | (P - 1), which make P * q Carmichael
-    (module docstring), so neither re-checks Korselt's criterion.
+    inverse below always exists.  q runs up to
+    rmax = min((limit - 1) // P, (P + 1) // 2): (q - 1) | (P - 1) with
+    P a product of at least two primes leaves q <= (P + 1) // 2 (module
+    docstring, Batched leaf layer).  A progression of at most
+    `_LONG_PROGRESSION` terms up to rmax is walked, and a longer one is
+    closed by the divisors of P - 1 up to rmax - 1.  Each route keeps a
+    prime q with q = P^-1 (mod L) and (q - 1) | (P - 1), which make P * q
+    Carmichael (module docstring), so neither re-checks Korselt's
+    criterion.
     """
-    rmax = (limit - 1) // product
+    rmax = min((limit - 1) // product, (product + 1) // 2)
     p_last = primes[-1]
     if rmax <= p_last:
         return
@@ -594,8 +620,9 @@ class _LeafBatch:
     passes the descent's prune.  It counts each parent's class once,
     drops the parent when the class is empty and hands it to `_route`
     otherwise.  At or below
-    `_BATCH_LIMIT` `_route` queues the class or the slice, and `flush`
-    closes both queues in int64 numpy once either holds `_FLUSH` lanes.
+    `_BATCH_LIMIT` `_route` queues the class or the slice, and closes
+    that queue alone in int64 numpy once it holds `_FLUSH` lanes; `flush`
+    closes both at the end of a batch.
     Above it `_route` closes each parent at once, in Python ints: it walks
     a class of fewer than `_CLASS_RATIO` values and loops any other
     parent's slice.  The arithmetic that keeps an emission proves it
@@ -667,7 +694,7 @@ class _LeafBatch:
                 self.class_pending += take
                 jlo += take
                 if self.class_pending >= _FLUSH:
-                    self.flush()
+                    self._flush_classes()
             return
         while lo < hi:
             take = min(hi - lo, _FLUSH - self.pending)
@@ -675,7 +702,7 @@ class _LeafBatch:
             self.pending += take
             lo += take
             if self.pending >= _FLUSH:
-                self.flush()
+                self._flush_slices()
 
     def _walk_class(self, primes, product, values, candidates) -> None:
         """Emit P * w for each class value w = p * q with p the first of
@@ -700,11 +727,17 @@ class _LeafBatch:
                             self.limit, self.tables, self.out)
 
     def flush(self) -> None:
-        parents, self.parents = self.parents, []
-        classes, self.classes = self.classes, []
-        self.pending = self.class_pending = 0
+        """Close both queues: the end of a batch."""
+        self._flush_classes()
+        self._flush_slices()
+
+    def _flush_classes(self) -> None:
+        classes, self.classes, self.class_pending = self.classes, [], 0
         if classes:
             self._close_classes(classes)
+
+    def _flush_slices(self) -> None:
+        parents, self.parents, self.pending = self.parents, [], 0
         if parents:
             self._close_slices(parents)
 
@@ -748,10 +781,11 @@ class _LeafBatch:
         keep = np.flatnonzero(keep)
         owner, p, carry = owner[keep], p[keep], carry[keep]
         carry = carry // np.gcd(carry, p - 1) * (p - 1)  # L2 = lcm(L, p - 1)
-        # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P;
-        # p <= isqrt(R) (the descent's bound), so rmax >= p.
-        rmax = np.array(reaches, dtype=np.int64)[owner] // p
+        # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P,
+        # capped at (P2 + 1) // 2 as in `_complete_final`.
         product = np.array(products, dtype=np.int64)[owner] * p
+        rmax = np.minimum(np.array(reaches, dtype=np.int64)[owner] // p,
+                          (product + 1) // 2)
         t = _inverse_mod(product, carry)
         # First term above p; keep the lanes where it is at most rmax.
         first = np.where(t > p, t, t + ((p - t) // carry + 1) * carry)

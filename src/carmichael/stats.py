@@ -113,19 +113,23 @@ def _factor_range(cat: Catalog) -> tuple[int, int | None]:
     return d_min, None if cat.limit is None else max_factor_count(cat.limit)
 
 
-def _check_factor_range(cat: Catalog) -> None:
+def _check_factor_range(cat: Catalog, cps: list[int]) -> None:
     """Refuse a catalog whose header restricts the factor count.
 
     It holds only part of the Carmichael numbers below its bound, so
-    every count taken from it would be short.
+    every count taken from it would be short.  Without a limit the counts
+    reach the largest checkpoint X, below which a Carmichael number has up
+    to max_factor_count(X) prime factors; the refusal shows that range
+    open, "3..", as the catalog names no bound.
     """
     d_min, d_max = _factor_range(cat)
-    # Without a limit every factor count belongs: an open range, "3..".
-    full = max_factor_count(cat.limit) if cat.limit is not None else None
+    bound = cat.limit if cat.limit is not None else max(cps, default=None)
+    full = max_factor_count(bound) if bound is not None else None
     if d_min > 3 or (None not in (d_max, full) and d_max < full):
+        end = full if cat.limit is not None else ""
         raise ValueError(
             f"the catalog holds only d = {d_min}..{d_max or ''} prime"
-            f" factors, not 3..{full or ''}: its counts would be short"
+            f" factors, not 3..{end}: its counts would be short"
         )
 
 
@@ -282,12 +286,12 @@ def build_report(
     prime_cap: int = DEFAULT_PRIME_CAP,
     tables: tuple[str, ...] = TABLE_NAMES,
 ) -> StatsReport:
-    _check_factor_range(cat)
     if cps is None:
         bound = cat.limit
         if bound is None:
             bound = cat.entries[-1].value + 1 if cat.entries else 10**3
         cps = default_checkpoints(bound)
+    _check_factor_range(cat, cps)
     counts, by_d = count_table(cat, cps)
     decades = _decade_counts(counts)
     k_values = {x: k_of(x, c) for x, c in counts.items() if c > 0 and x >= 10**3}

@@ -463,6 +463,23 @@ def test_stats_refuses_a_catalog_restricted_by_factor_count(tmp_path, capsys, re
     assert not (tmp_path / "t").exists()
 
 
+def test_stats_refuses_a_catalog_with_d_max_and_no_limit(tmp_path, capsys):
+    # Without a limit, d_max = 3 is judged against max_factor_count(10**6)
+    # = 6 at the largest checkpoint: C(10**6) would read 23, not 43.
+    cat_path = tmp_path / "cat.txt"
+    main(["enumerate", "--limit", "1e6", "--max-factors", "3",
+          "--out", str(cat_path)])
+    capsys.readouterr()
+    text = "".join(line for line in cat_path.read_text().splitlines(True)
+                   if not line.startswith("# limit:"))
+    cat_path.write_text(text)
+    code = main(["stats", "--input", str(cat_path), "--checkpoints", "1000000",
+                 "--out-dir", str(tmp_path / "t")])
+    assert code == 2
+    assert "d = 3..3 prime factors, not 3..:" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_stats_rejects_a_record_at_or_above_the_limit(tmp_path, capsys):
     cat_path = tmp_path / "cat.txt"
     main(["oracle", "--limit", "1e4", "--out", str(cat_path)])

@@ -386,10 +386,12 @@ def test_descend_closes_prefixes_with_prime_pairs(monkeypatch, batched):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_crashing_search_task_names_itself(monkeypatch, workers):
-    def crash(primes, *rest):
-        raise ZeroDivisionError(f"boom at {primes}")
+    # The slice queue closes inside a task: when it fills, or at the end
+    # of a batch's last task.
+    def crash(batch, parents):
+        raise ZeroDivisionError(f"boom at {parents[0][0]}")
 
-    monkeypatch.setattr(enumerator, "_complete_final", crash)
+    monkeypatch.setattr(enumerator._LeafBatch, "_close_slices", crash)
     with pytest.raises(
         RuntimeError,
         match=r"^search task d=\d+ prefix=\((\d+,)?\) children \[\d+, \d+\) "

@@ -43,6 +43,7 @@ from carmichael.enumerator import (
     enumerate_carmichael,
     max_factor_count,
 )
+from carmichael.korselt import korselt_witness
 from carmichael.primes import factorize, is_prime
 
 
@@ -383,14 +384,14 @@ def test_random_leaf_parents_up_to_2_62(monkeypatch, limit):
 
 def leaf_spans(parents, limit, tables):
     """(rmax - t) // L2 + 1, as `flush` measures it, for every leaf with
-    rmax > p and t <= rmax."""
+    rmax > p and t <= rmax, where rmax is capped at (P2 + 1) // 2."""
     spans = []
     for primes, product, carry, lo, hi in parents:
         for p in tables.sieve[lo:hi]:
             if carry % p == 0 or math.gcd(product, p - 1) != 1:
                 continue
             product2, carry2 = product * p, math.lcm(carry, p - 1)
-            rmax = (limit - 1) // product2
+            rmax = min((limit - 1) // product2, (product2 + 1) // 2)
             t = pow(product2 % carry2, -1, carry2)
             if rmax > p and rmax >= t:
                 spans.append((rmax - t) // carry2 + 1)
@@ -401,35 +402,54 @@ def test_a_flush_of_parents_with_different_d(monkeypatch):
     limit = 10**9
     tables = _Tables.for_limit(limit)
     parents = every_leaf_parent(limit, tables)
-    random.Random(9).shuffle(parents)  # every flush mixes the factor counts
-    widths = []
-    flush = _LeafBatch.flush
-
-    def spy(self):
-        # Over both queues: slices and residue classes.
-        widths.append({len(x[0]) for x in self.parents + self.classes})
-        flush(self)
-
-    monkeypatch.setattr(_LeafBatch, "flush", spy)
+    random.Random(9).shuffle(parents)  # every close mixes the factor counts
+    routes = RouteSpy(monkeypatch)
     batched = batched_leaves(parents, limit, tables)
     assert batched == scalar_leaves(parents, limit, tables)
     assert len(batched) == 646
-    assert widths and all({1, 2, 3, 4} <= w for w in widths)
+    # A class of one parent can fill much of a close, so each close of
+    # either queue mixes at least three of the factor counts, not all.
+    for queues in routes.closes.values():
+        widths = [{len(x[0]) for x in queue} for _, queue in queues]
+        assert len(widths) > 1 and all(len(w) >= 3 for w in widths)
+        assert {1, 2, 3, 4} <= set().union(*widths)
 
 
-# 7036064101 = 11 * 101 * 151 * 41941: after P2 = 11 * 101 * 151 the terms
-# run t = 241, 541, ... with L2 = 300, and 41941 is the 140th.
+@pytest.mark.parametrize("limit, flush", [(10**9, 1000), (10**10, None)])
+def test_each_queue_closes_only_when_it_is_full(monkeypatch, limit, flush):
+    # A full queue closes itself alone, so every close but a batch's last
+    # of each queue gets exactly _FLUSH lanes; one queue filling never
+    # closes the other early.
+    if flush is not None:
+        monkeypatch.setattr(enumerator, "_FLUSH", flush)
+    routes = RouteSpy(monkeypatch)
+    catalog = enumerate_carmichael(limit)
+    assert len(catalog.entries) == {10**9: 646, 10**10: 1547}[limit]
+    for name, queues in routes.closes.items():
+        batches: dict = {}
+        for batch, queue in queues:
+            lanes = sum(hi - lo for *_, lo, hi in queue)
+            batches.setdefault(id(batch), []).append(lanes)
+        assert len(batches) > 1, name
+        full = [lanes for sizes in batches.values() for lanes in sizes[:-1]]
+        assert len(full) > len(batches), name
+        assert set(full) == {enumerator._FLUSH}, name
+
+
+# 2741311 = 1171 * 2341 = P2 of the Chernick number 1171 * 2341 * 3511
+# (k = 195): with L2 = 2340 the terms run t = 1171, 3511, ..., and
+# (P2 + 1) // 2 caps them at 586, so spans of 512 and 513 both fit.
 @pytest.mark.parametrize("span, scalar", [(512, 0), (513, 1)])
 def test_progressions_of_up_to_512_terms_stay_in_the_batch(monkeypatch, span,
                                                            scalar):
-    head, p, q = (11, 101), 151, 41941
-    product2, carry2 = math.prod(head) * p, math.lcm(10, 100, 150)
+    head, p, q = (1171,), 2341, 3511
+    product2, carry2 = math.prod(head) * p, math.lcm(1170, 2340)
     t = pow(product2 % carry2, -1, carry2)
-    assert t > p
     limit = product2 * (t + (span - 1) * carry2) + 1  # rmax: the span-th term
+    assert (limit - 1) // product2 < (product2 + 1) // 2  # the cap is slack
     tables = _Tables.for_limit(10**12)
     i = bisect_left(tables.sieve, p)
-    parents = [(head, math.prod(head), math.lcm(10, 100), i, i + 1)]
+    parents = [(head, math.prod(head), 1170, i, i + 1)]
     assert leaf_spans(parents, limit, tables) == [span]
     calls = []
     complete = enumerator._complete_final
@@ -441,21 +461,111 @@ def test_progressions_of_up_to_512_terms_stay_in_the_batch(monkeypatch, span,
     monkeypatch.setattr(enumerator, "_complete_final", spy)
     batched = batched_leaves(parents, limit, tables)
     assert batched == scalar_leaves(parents, limit, tables)
-    assert (7036064101, head + (p, q)) in batched
+    assert (product2 * q, head + (p, q)) in batched
     assert len(calls) == scalar
+
+
+def smooth_parents(rng, limit, tables, count):
+    """Prefixes of 2 or 3 primes p > 3 with p - 1 of the form 2**a * 3**b:
+    their L is small against P, so the cap (P2 + 1) // 2 still leaves
+    progressions of more than 24, and some of more than 512, terms."""
+    parents = []
+    while len(parents) < count:
+        primes = tuple(sorted(rng.sample((5, 7, 13, 17, 19, 37, 73, 97),
+                                         rng.randint(2, 3))))
+        product = math.prod(primes)
+        lo = bisect_right(tables.sieve, primes[-1])
+        hi = bisect_right(tables.sieve, math.isqrt((limit - 1) // product))
+        if lo < hi:
+            parents.append((primes, product,
+                            math.lcm(*(p - 1 for p in primes)), lo, hi))
+    return parents
 
 
 @pytest.mark.parametrize("limit", [10**10, 10**12])
 def test_random_parents_with_long_progressions(monkeypatch, limit):
     monkeypatch.setattr(enumerator, "_FLUSH", 4096)
     tables = _Tables.for_limit(10**12)
-    parents = random_parents(random.Random(limit), limit, tables, 40)
+    rng = random.Random(limit)
+    parents = (random_parents(rng, limit, tables, 40)
+               + smooth_parents(rng, limit, tables, 20))
     spans = leaf_spans(parents, limit, tables)
     # Short, batched long and scalar long progressions all occur.
     assert min(spans) <= 24 and max(spans) > 512
     assert sum(24 < s <= 512 for s in spans) > 300
     assert batched_leaves(parents, limit, tables) == scalar_leaves(
         parents, limit, tables)
+
+
+def plain_completions(primes, limit):
+    """P * q for every q in (p_last, (limit - 1) // P] that is prime and
+    meets Korselt's criterion: no cap, residue class or divisor."""
+    product, out = math.prod(primes), []
+    for q in range(primes[-1] + 1, (limit - 1) // product + 1):
+        n = product * q
+        if korselt_witness(n, primes + (q,)) is None and is_prime(q):
+            out.append((n, primes + (q,)))
+    return out
+
+
+# Prefixes whose last prime is exactly the cap (P + 1) // 2 (k = 2):
+# 561 = 3 * 11 * 17, 8911 = 7 * 19 * 67, 10585 = 5 * 29 * 73,
+# 115921 = 13 * 37 * 241, 6313681 = 11 * 17 * 19 * 1777,
+# 8134561 = 37 * 109 * 2017 and 32914441 = 7 * 19 * 61 * 4057.
+AT_THE_CAP = [(3, 11), (7, 19), (5, 29), (13, 37), (11, 17, 19), (37, 109),
+              (7, 19, 61)]
+# L = 72 and P = 4670029: at 2 * 10**11 the leaf's progression has about
+# 594 terms below the cap, so it takes the divisor route.
+LONG = (7, 13, 19, 37, 73)
+
+
+def small_prefixes(rng, limit, tables, count, most):
+    """Prefixes of 2 to 4 odd primes, p1 < 50, with gcd(P, L) = 1 and at
+    most `most` values q in (p_last, (limit - 1) // P]."""
+    sieve, prefixes = tables.sieve, []
+    while len(prefixes) < count:
+        first = rng.randrange(1, 15)
+        idx = sorted({first, *rng.sample(range(first + 1, 400),
+                                         rng.randint(1, 3))})
+        primes = tuple(sieve[i] for i in idx)
+        product = math.prod(primes)
+        if (math.gcd(product, math.lcm(*(p - 1 for p in primes))) == 1
+                and primes[-1] < (limit - 1) // product <= most):
+            prefixes.append(primes)
+    return prefixes
+
+
+@pytest.mark.parametrize("limit, most", [(10**6, 10**4), (10**8, 3 * 10**4),
+                                         (2 * 10**11, 5 * 10**4)])
+def test_the_cap_on_the_last_prime_loses_no_completion(monkeypatch, limit,
+                                                        most):
+    # Ratio 0 sends every parent to the slice route, whose flush caps rmax.
+    monkeypatch.setattr(enumerator, "_CLASS_RATIO", 0)
+    tables = _Tables.for_limit(10**12)
+    prefixes = [x for x in AT_THE_CAP + [LONG]
+                if (limit - 1) // math.prod(x) <= most]
+    prefixes += small_prefixes(random.Random(limit), limit, tables, 40, most)
+    parents, expected, capped = {}, [], 0
+    for primes in prefixes:
+        product = math.prod(primes)
+        carry = math.lcm(*(p - 1 for p in primes))
+        plain = plain_completions(primes, limit)
+        out: list = []
+        _complete_final(primes, product, carry, limit, tables, out)
+        assert sorted(out) == plain, primes
+        expected += plain
+        capped += (limit - 1) // product > (product + 1) // 2
+        head = primes[:-1]
+        i = bisect_left(tables.sieve, primes[-1])
+        parents[primes] = (head, math.prod(head),
+                           math.lcm(*(p - 1 for p in head)), i, i + 1)
+    batched = batched_leaves(list(parents.values()), limit, tables)
+    assert batched == sorted(expected)
+    if limit < 10**9:
+        # The cap binds, and some completions sit exactly on it.
+        assert capped and any(n == q * (2 * q - 1) for n, (*_, q) in expected)
+    else:
+        assert leaf_spans([parents[LONG]], limit, tables)[0] > 512
 
 
 @pytest.mark.parametrize("piece", [1, 100])
@@ -470,21 +580,25 @@ def test_the_terms_are_expanded_in_many_pieces(monkeypatch, piece):
 
 
 class RouteSpy:
-    """What each flush hands to the class route and to the slice route, and
-    the parents `_route` walks or loops at once above 2**62."""
+    """What each close hands to the class route and to the slice route, and
+    the parents `_route` walks or loops at once above 2**62.  `closes`
+    keeps each close's batch and queue, per queue."""
 
     def __init__(self, monkeypatch):
         self.classes, self.slices, self.walks, self.loops = [], [], [], []
+        self.closes = {"classes": [], "slices": []}
         close_classes = _LeafBatch._close_classes
         close_slices = _LeafBatch._close_slices
         walk, loop = _LeafBatch._walk_class, _LeafBatch._loop_slice
 
         def classes(batch, queue):
             self.classes.append([hi - lo for *_, lo, hi in queue])
+            self.closes["classes"].append((batch, queue))
             close_classes(batch, queue)
 
         def slices(batch, queue):
             self.slices += queue
+            self.closes["slices"].append((batch, queue))
             close_slices(batch, queue)
 
         def walks(batch, primes, product, values, candidates):

@@ -171,6 +171,32 @@ def test_the_factor_counts_a_catalog_covers_default_from_its_limit(
             build_report(cat, [10**5])
 
 
+def three_factor_catalog(provenance):
+    """The 23 Carmichael numbers below 10**6 with three prime factors."""
+    entries = [e for e in oracle_enumerate(10**6) if len(e.factors) == 3]
+    assert len(entries) == 23
+    return Catalog(entries, provenance)
+
+
+@pytest.mark.parametrize("cps, whole", [([10**6], False), ([10**4], False),
+                                        ([10**3], True)])
+def test_without_a_limit_d_max_is_judged_at_the_largest_checkpoint(cps, whole):
+    # Below 10**6 a Carmichael number has up to 6 prime factors, and below
+    # 10**4 up to 4, so a catalog of d = 3 alone would give C(10**6) = 23
+    # against 43; below 10**3 every one has 3, so its count is whole.
+    cat = three_factor_catalog({"d_max": "3"})
+    if whole:
+        assert build_report(cat, cps).counts == {10**3: 1}
+    else:
+        with pytest.raises(ValueError, match="d = 3..3 prime factors, not "
+                                             "3..: its counts would be short"):
+            build_report(cat, cps)
+    # Without checkpoints they are the decades up to the largest entry,
+    # 997633, below which there are up to 5 prime factors.
+    with pytest.raises(ValueError, match="d = 3..3 prime factors"):
+        build_report(cat)
+
+
 def test_write_report_files(tmp_path):
     report = build_report(catalog_1e6())
     written = write_report(report, tmp_path)
