@@ -34,6 +34,10 @@ class CatalogFormatError(Exception):
     pass
 
 
+# Headers that readers parse as integers.
+_INT_HEADERS = ("limit", "d_min", "d_max")
+
+
 @dataclass
 class Catalog:
     """Ascending, deduplicated Carmichael entries plus provenance."""
@@ -127,7 +131,9 @@ def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
     last record without a line end, or a `count` header that disagrees
     with the records read, is always an error, so a truncated file cannot
     pass for a shorter catalog; so is a record at or above the `limit`
-    header, which every writer of catalogs keeps below.
+    header, which every writer of catalogs keeps below, and a `limit`,
+    `d_min` or `d_max` header that is not a whole number in decimal
+    digits.
     """
     entries: list[CarmichaelEntry] = []
     provenance: dict[str, str] = {}
@@ -141,8 +147,14 @@ def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 if ":" in body:
-                    key, _, value = body.partition(":")
-                    provenance[key.strip()] = value.strip()
+                    key, _, value = (s.strip() for s in body.partition(":"))
+                    if key in _INT_HEADERS and not (value.isascii()
+                                                    and value.isdigit()):
+                        raise CatalogFormatError(
+                            f"line {lineno}: header {key}: {value!r} is not a"
+                            " whole number in decimal digits"
+                        )
+                    provenance[key] = value
                 continue
             try:
                 numbers = [int(tok) for tok in line.split()]

@@ -60,7 +60,10 @@ def exact_int(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [exact_int(tok) for tok in text.split(",") if tok]
+    values = [exact_int(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no numbers in {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

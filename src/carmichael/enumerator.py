@@ -205,17 +205,19 @@ equally fast at 10**11 and 10**12, and at 10**13 with a table of 2**26.
 Int64 is exact: every w walked, and so j * L and q, is at most
 R < spf_limit <= 2**26; and P * w <= P * R < limit <= 2**62.
 
-The table is sized to what the class route reads (`_spf_limit`).  Above
-2**62 nothing is queued, so the table is `_SPF_FLOOR` = 2**12.  At or
-below 2**62 the class route reads it up to the largest leaf reach,
+The class flush is the table's only reader, so the table is sized to
+what it reads (`_spf_limit`).  Above 2**62 nothing is queued, so
+spf_limit is 0 and the table holds a single entry.  At or below 2**62
+the class route reads it up to the largest leaf reach,
 (limit - 1) // P with P the product of the d_min - 2 smallest odd primes
 (the quotient that also sizes the sieve), so it is the power of two above
 that reach, capped at `_SPF_BASE` = 2**23, or at `_SPF_TOP` = 2**26 for a
-catalog from d = 3 at a limit of 2**43 or more.  `_factor_fast` factors a
-P - 1 above the table by `factorize`, and a divisor-route P - 1 rarely is
-one: of its 38 calls at 10**7, 625 at 10**9 and 691 for d = 5 at 10**11,
-none.  A larger table moves leaf parents from the slice route to the
-class route, and costs its build and spf_limit bytes of memory.
+catalog from d = 3 at a limit of 2**43 or more.  The divisor route of
+`_complete_final` factors P - 1 by `factorize`, whatever its size: it is
+called 200 times at 10**11, 1,805 at 10**12 and 11,411 at 10**13, where
+those factorizations took 0.09 s of a run of 17.5 CPU s on one worker
+(2 vCPU Xeon).  A larger table moves leaf parents from the slice route
+to the class route, and costs its build and spf_limit bytes of memory.
 Measured in fresh processes (BENCH_spf.json):
 * at 10**12 on one worker, 2**24 moves 2.1M of the 13.9M slice lanes
   and ran no faster than 2**23 (slower in 5 of 6 alternating pairs);
@@ -306,11 +308,9 @@ __all__ = [
 # this many terms, otherwise enumerate divisors of P - 1.  The leaf batch
 # walks the short progressions itself.
 _LONG_PROGRESSION = 512
-# Smallest-factor table sizes (`_spf_limit`): the floor is the smallest
-# built, and the only one above 2**62, where the class route reads none;
-# every table is capped at the base, or at the top for a catalog from
-# d = 3 at 2**43 or more.
-_SPF_FLOOR = 1 << 12
+# Smallest-factor table sizes (`_spf_limit`): the class flush, the only
+# reader, reads no table above 2**62; below it every table is capped at
+# the base, or at the top for a catalog from d = 3 at 2**43 or more.
 _SPF_BASE = 1 << 23
 _SPF_TOP = 1 << 26
 # The largest sieve_top `_Tables.for_limit` builds (module docstring).
@@ -370,11 +370,13 @@ def min_odd_prime_product(count: int) -> int:
 
 def _spf_limit(limit: int, d_min: int, reach: int) -> int:
     """Size of the smallest-factor table for a run from d_min whose leaf
-    parents reach at most `reach` (module docstring, Residue-class route)."""
+    parents reach at most `reach`: 0 above 2**62, where the class flush,
+    its only reader, is never queued (module docstring, Residue-class
+    route)."""
     if limit > _BATCH_LIMIT:
-        return _SPF_FLOOR
+        return 0
     cap = _SPF_TOP if d_min == 3 and limit >= 1 << 43 else _SPF_BASE
-    return max(_SPF_FLOOR, min(1 << reach.bit_length(), cap))
+    return min(1 << reach.bit_length(), cap)
 
 
 @dataclass
@@ -394,8 +396,8 @@ class _Tables:
     windows: defaultdict
     spf_limit: int
     # uint16 smallest factor of each odd number below spf_limit, 0 for a
-    # prime (`smallest_factor_table`); read in place by numpy and through
-    # a memoryview by Python.
+    # prime (`smallest_factor_table`); read in place by numpy, in the
+    # class flush only.
     spf: np.ndarray
 
     @classmethod
@@ -462,29 +464,6 @@ def _spf_table(spf_limit: int) -> np.ndarray:
     return smallest_factor_table(spf_limit)
 
 
-def _factor_fast(n: int, tables: _Tables) -> list[tuple[int, int]]:
-    """Factor n, through the smallest-factor table when n is below its
-    limit; every prime and exponent is a Python int."""
-    if n >= tables.spf_limit:
-        return list(factorize(n).factors)
-    fac = []
-    if n % 2 == 0:
-        e = 0
-        while n % 2 == 0:
-            n //= 2
-            e += 1
-        fac.append((2, e))
-    spf = memoryview(tables.spf)
-    while n > 1:
-        p = spf[n >> 1] or n
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        fac.append((p, e))
-    return fac
-
-
 def _bounded_divisors(fac, hi: int) -> list[int]:
     """All divisors <= hi of the factorization `fac` (unsorted)."""
     divs = [1] if hi >= 1 else []
@@ -506,7 +485,6 @@ def _complete_final(
     product: int,
     carry: int,
     limit: int,
-    tables: _Tables,
     out: list,
 ) -> None:
     """Emit every Carmichael P*q < limit extending a d-1 prime prefix.
@@ -517,16 +495,16 @@ def _complete_final(
     P a product of at least two primes leaves q <= (P + 1) // 2 (module
     docstring, Batched leaf layer).  A progression of at most
     `_LONG_PROGRESSION` terms up to rmax is walked, and a longer one is
-    closed by the divisors of P - 1 up to rmax - 1.  Each route keeps a
-    prime q with q = P^-1 (mod L) and (q - 1) | (P - 1), which make P * q
-    Carmichael (module docstring), so neither re-checks Korselt's
-    criterion.
+    closed by the divisors up to rmax - 1 of P - 1, which `factorize`
+    factors.  Each route keeps a prime q with q = P^-1 (mod L) and
+    (q - 1) | (P - 1), which make P * q Carmichael (module docstring), so
+    neither re-checks Korselt's criterion.
     """
     rmax = min((limit - 1) // product, (product + 1) // 2)
     p_last = primes[-1]
     if rmax <= p_last:
         return
-    t = pow(product % carry, -1, carry)
+    t = pow(product, -1, carry)
     span = (rmax - t) // carry + 1 if rmax >= t else 0
     if span <= 0:
         return
@@ -539,9 +517,9 @@ def _complete_final(
                 out.append((product * r, primes + (r,)))
             r += carry
     else:
-        for e in _bounded_divisors(_factor_fast(pm1, tables), rmax - 1):
+        for e in _bounded_divisors(factorize(pm1).factors, rmax - 1):
             q = e + 1
-            if q <= p_last or q % carry != t % carry:
+            if q <= p_last or q % carry != t:
                 continue
             if is_prime(q):
                 out.append((product * q, primes + (q,)))
@@ -724,7 +702,7 @@ class _LeafBatch:
             if carry % p == 0 or math.gcd(product, p - 1) != 1:
                 continue
             _complete_final(primes + (p,), product * p, math.lcm(carry, p - 1),
-                            self.limit, self.tables, self.out)
+                            self.limit, self.out)
 
     def flush(self) -> None:
         """Close both queues: the end of a batch."""
@@ -798,7 +776,7 @@ class _LeafBatch:
         for i in np.flatnonzero(long).tolist():
             o, q = int(owner[i]), int(p[i])
             _complete_final(heads[o] + (q,), products[o] * q, int(carry[i]),
-                            self.limit, self.tables, self.out)
+                            self.limit, self.out)
         short = np.flatnonzero(~long)
         terms = (rmax[short] - first[short]) // carry[short] + 1
         # The lanes whose terms start in one window of _PIECE are expanded

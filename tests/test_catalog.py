@@ -9,6 +9,7 @@ from carmichael.catalog import (
     read_catalog,
     write_catalog,
 )
+from carmichael.cli import main
 from carmichael.korselt import CarmichaelEntry, oracle_enumerate
 
 
@@ -99,6 +100,23 @@ def test_a_record_at_or_above_the_limit_is_rejected(tmp_path):
     cat.provenance["limit"] = "8912"
     write_catalog(cat, path)
     assert read_catalog(path).entries == cat.entries
+
+
+@pytest.mark.parametrize("header", ["limit: 1e6", "limit: abc", "limit: -5",
+                                    "d_min: three", "d_max:"])
+def test_a_number_header_that_is_not_decimal_digits_is_rejected(tmp_path,
+                                                                capsys,
+                                                                header):
+    path = tmp_path / "cat.txt"
+    path.write_text(f"# carmichael catalog\n# {header}\n561 3 11 17\n")
+    key, _, value = header.partition(":")
+    message = f"line 2: header {key}: {value.strip()!r} is not a whole number"
+    with pytest.raises(CatalogFormatError, match=message):
+        read_catalog(path)
+    assert main(["stats", "--input", str(path),
+                 "--out-dir", str(tmp_path / "t")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_count_header_mismatch_is_rejected(tmp_path):

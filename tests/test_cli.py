@@ -119,6 +119,17 @@ def test_non_finite_and_huge_numbers_are_usage_errors(args, capsys):
     assert "not a finite number" in err or " digits: " in err
 
 
+@pytest.mark.parametrize("option", ["--checkpoints", "--mod"])
+@pytest.mark.parametrize("text", ["", ","])
+def test_an_empty_list_is_a_usage_error(tmp_path, capsys, option, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--input", "x", "--out-dir", str(tmp_path / "t"),
+              "--tables", "residues", option, text])
+    assert exc.value.code == 2
+    assert f"argument {option}: no numbers in {text!r}" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_verify_file_rejects_infinity(tmp_path, capsys):
     path = tmp_path / "nums.txt"
     path.write_text("561\ninf\n")

@@ -28,11 +28,11 @@ from carmichael.extremal import smallest_with_factors
 from carmichael.korselt import fermat_scan, oracle_enumerate
 
 
-def completions(primes, limit, tables=None):
+def completions(primes, limit):
     """Last primes q that `_complete_final` finds for the prefix."""
     out = []
     _complete_final(primes, math.prod(primes), math.lcm(*(p - 1 for p in primes)),
-                    limit, tables or _Tables.for_limit(limit), out)
+                    limit, out)
     return [fs[-1] for _, fs in out]
 
 
@@ -291,11 +291,11 @@ def test_the_full_catalog_table_steps_from_2_23_to_2_26_at_2_43():
 
 
 @pytest.mark.parametrize("d", [11, 12])
-def test_only_the_floor_table_above_2_62(d):
-    # Only the int64 batch reads the table for its routes, and above 2**62
-    # it queues nothing.
-    assert _Tables.for_limit(2**63, d).spf_limit == enumerator._SPF_FLOOR
-    assert _Tables.for_limit(2**62 + 1, d).spf_limit == enumerator._SPF_FLOOR
+def test_no_factor_table_above_2_62(d):
+    # Only the class flush of the int64 batch reads the table, and above
+    # 2**62 the batch queues nothing.
+    assert _Tables.for_limit(2**63, d).spf_limit == 0
+    assert _Tables.for_limit(2**62 + 1, d).spf_limit == 0
 
 
 @pytest.mark.parametrize("limit, d, size", [
@@ -321,8 +321,9 @@ def test_the_factor_table_covers_what_the_run_reads(
 def test_the_catalog_does_not_depend_on_the_factor_table(monkeypatch,
                                                          fresh_tables,
                                                          tmp_path):
-    # Both routes are complete, and `_factor_fast` factors above the table.
-    sizes = [enumerator._SPF_FLOOR, 2**21, 2**23, 2**25]
+    # Both routes are complete, and only the class route reads the table:
+    # with none, every parent takes the slice route.
+    sizes = [0, 2**21, 2**23, 2**25]
     for size in sizes:
         monkeypatch.setattr(enumerator, "_spf_limit", lambda *args: size)
         cat = enumerate_carmichael(10**9)
@@ -341,13 +342,13 @@ def test_smallest_builds_only_small_factor_tables(monkeypatch, fresh_tables):
     monkeypatch.setattr(enumerator, "smallest_factor_table",
                         lambda n: built.append(n) or build(n))
     assert smallest_with_factors(15).value == 6553130926752006031481761
-    assert built == [enumerator._SPF_FLOOR]
+    assert built == [0]
     assert smallest_with_factors(13).value == 1791562810662585767521
     assert 1 < len(built) and max(built) <= 2**21
 
 
 def test_complete_final_completing_561():
-    # 3030 terms in the progression, so the divisors of 32 are walked.
+    # The cap (P + 1) // 2 = 17 leaves the terms 7 and 17 of 7 mod 10.
     assert completions((3, 11), 10**6) == [17]
 
 
@@ -357,10 +358,9 @@ def test_complete_final_completing_1105():
 
 
 def test_complete_final_empty_for_3_5():
-    # divisors of 14 give q in {2, 3, 8, 15}; none is a prime > 5 in the
-    # right class mod 4.  Only the smallest-factor table is used, so the
-    # small tables of 10**4 serve.
-    assert completions((3, 5), 10**16, _Tables.for_limit(10**4)) == []
+    # The cap (P + 1) // 2 = 8 leaves the terms 3 and 7 of 3 mod 4: 3 is
+    # not above 5, and 7 - 1 does not divide 14.
+    assert completions((3, 5), 10**16) == []
 
 
 @pytest.mark.parametrize("batched", [False, True])

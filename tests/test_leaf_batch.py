@@ -106,7 +106,7 @@ def scalar_leaves(parents, limit, tables):
             if carry % p == 0 or math.gcd(product, p - 1) != 1:
                 continue
             _complete_final(primes + (p,), product * p, math.lcm(carry, p - 1),
-                            limit, tables, out)
+                            limit, out)
     return sorted(out)
 
 
@@ -517,6 +517,14 @@ AT_THE_CAP = [(3, 11), (7, 19), (5, 29), (13, 37), (11, 17, 19), (37, 109),
 # L = 72 and P = 4670029: at 2 * 10**11 the leaf's progression has about
 # 594 terms below the cap, so it takes the divisor route.
 LONG = (7, 13, 19, 37, 73)
+# L = 240 and P = 306617311: P - 1 = 2 * 3**2 * 5 * 1321 * 2579 lies above
+# every smallest-factor table, and `factorize` splits 1321 * 2579 by rho,
+# past its trial division.  At 4 * 10**13 the leaf's progression has 544
+# terms, so it takes the divisor route, and q - 1 = 2 * 3 * 5 * 1321
+# completes it.
+ABOVE_THE_TABLES = (7, 11, 13, 31, 41, 241)
+# The prefix that each limit above 10**9 sends to the divisor route.
+DIVISOR_ROUTE = {2 * 10**11: LONG, 4 * 10**13: ABOVE_THE_TABLES}
 
 
 def small_prefixes(rng, limit, tables, count, most):
@@ -536,13 +544,14 @@ def small_prefixes(rng, limit, tables, count, most):
 
 
 @pytest.mark.parametrize("limit, most", [(10**6, 10**4), (10**8, 3 * 10**4),
-                                         (2 * 10**11, 5 * 10**4)])
+                                         (2 * 10**11, 5 * 10**4),
+                                         (4 * 10**13, 15 * 10**4)])
 def test_the_cap_on_the_last_prime_loses_no_completion(monkeypatch, limit,
                                                         most):
     # Ratio 0 sends every parent to the slice route, whose flush caps rmax.
     monkeypatch.setattr(enumerator, "_CLASS_RATIO", 0)
     tables = _Tables.for_limit(10**12)
-    prefixes = [x for x in AT_THE_CAP + [LONG]
+    prefixes = [x for x in AT_THE_CAP + [LONG, ABOVE_THE_TABLES]
                 if (limit - 1) // math.prod(x) <= most]
     prefixes += small_prefixes(random.Random(limit), limit, tables, 40, most)
     parents, expected, capped = {}, [], 0
@@ -551,7 +560,7 @@ def test_the_cap_on_the_last_prime_loses_no_completion(monkeypatch, limit,
         carry = math.lcm(*(p - 1 for p in primes))
         plain = plain_completions(primes, limit)
         out: list = []
-        _complete_final(primes, product, carry, limit, tables, out)
+        _complete_final(primes, product, carry, limit, out)
         assert sorted(out) == plain, primes
         expected += plain
         capped += (limit - 1) // product > (product + 1) // 2
@@ -565,7 +574,8 @@ def test_the_cap_on_the_last_prime_loses_no_completion(monkeypatch, limit,
         # The cap binds, and some completions sit exactly on it.
         assert capped and any(n == q * (2 * q - 1) for n, (*_, q) in expected)
     else:
-        assert leaf_spans([parents[LONG]], limit, tables)[0] > 512
+        long = DIVISOR_ROUTE[limit]
+        assert leaf_spans([parents[long]], limit, tables)[0] > 512
 
 
 @pytest.mark.parametrize("piece", [1, 100])

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from carmichael.enumerator import _bounded_divisors, _factor_fast, _Tables
+from carmichael.enumerator import _bounded_divisors
 from carmichael.primes import (
     Factorization,
     factorize,
@@ -88,21 +88,6 @@ def test_a_rebuilt_smallest_factor_table_gives_its_memory_back():
     before = resident()
     del table
     assert before - resident() >= 7 * 2**20
-
-
-def test_table_factoring_gives_python_ints():
-    tables = _Tables.for_limit(10**12)
-    top = tables.spf_limit
-    rng = random.Random(16)
-    # Primes and products with a prime factor above 2**16, powers of two
-    # and of 3, and random numbers: divisors far above uint16's range.
-    numbers = [top - 1, 2**22, 3**14, 65537 * 127, 65537, 2 * 4194301]
-    numbers += [rng.randrange(2, top) for _ in range(3000)]
-    for n in numbers:
-        fac = _factor_fast(n, tables)
-        assert fac == list(factorize(n).factors), n
-        assert all(type(p) is int and type(e) is int for p, e in fac), n
-        assert sorted(_bounded_divisors(fac, n)) == divisors(n), n
 
 
 def test_is_prime_record_values():
