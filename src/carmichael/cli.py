@@ -210,7 +210,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    cat = read_catalog(args.input, validate=False)
+    try:
+        cat = read_catalog(args.input)
+    except CatalogFormatError as exc:
+        raise CatalogFormatError(f"{args.input}: {exc}") from None
     tables = TABLE_NAMES if args.tables == "all" else tuple(args.tables.split(","))
     unknown = set(tables) - set(TABLE_NAMES)
     if unknown:

@@ -47,8 +47,10 @@ the search:
 
 * Pruning.  If any prime s divides both P and L then s divides both N and
   N - 1 for every completion N of the prefix, which is impossible; those
-  subtrees are dropped.  Concretely a child prime p is rejected when p
-  divides L or when gcd(P, p - 1) > 1, keeping gcd(P, L) = 1 invariant.
+  subtrees are dropped.  A child p is rejected when gcd(P, p - 1) > 1,
+  which keeps gcd(P, L) = 1, as p never divides L: `_seed_tasks`,
+  `_descend`, `add_children` and `_route` draw each child from past its
+  prefix's last prime, so p exceeds every pi - 1 (and L = 1 at the root).
 
 Completing a prefix of d - 1 primes means finding every final prime q
 with N = P * q < limit Carmichael (the large prime variation of Pinch,
@@ -149,11 +151,11 @@ below sieve_top as a Python int, about 40 bytes each, so
 about 2 GiB) before it builds anything: a full catalog at 10**18 takes
 2**30, and one at 10**20 would take 2**33.
 
-The prune gcd(P, p - 1) = 1 of `_descend` holds exactly when no prime of
-the parent divides p - 1, as P is their squarefree product.  So the flush
-keeps the parents' primes as int64 columns, padded with sieve_top (which
-exceeds every p - 1, so it divides none), and prunes by one int64 `%` per
-column, each about 20x cheaper than `np.gcd` on the same lane.
+The one prune, gcd(P, p - 1) = 1 (Pruning), holds exactly when no prime
+of the parent divides p - 1, as P is their squarefree product.  So the
+flush keeps the parents' primes as int64 columns, padded with sieve_top
+(which exceeds every p - 1, so it divides none), and prunes by one int64
+`%` per column, each about 20x cheaper than `np.gcd` on the same lane.
 
 Int64 is exact at or below 2**62: candidates obey P * p**2 < limit, so
 P2 < limit; R // p equals (limit - 1) // (P * p) (flooring by P and then
@@ -259,9 +261,8 @@ emitted.  Conversely every emission has the form above and is
 Carmichael: L | N - 1 from the class, and the kept w gives
 (p - 1) | N - 1 and (q - 1) | N - 1.  The slice route closes those
 numbers completely, so the routes emit the same numbers for any slice,
-partial or not.  The descent's prune needs no check of its own: p | L,
-or a prime of P dividing p - 1, would make that prime divide both N and
-N - 1.
+partial or not.  The descent's prune loses no number: a prime of P
+dividing p - 1 would divide both N and N - 1.
 
 Work is partitioned into tasks (d, prefix, lo, hi), the children
 sieve[lo:hi] of one node of at most d - 3 primes: the root () for d = 3
@@ -489,8 +490,8 @@ def _complete_final(
 ) -> None:
     """Emit every Carmichael P*q < limit extending a d-1 prime prefix.
 
-    gcd(P, L) = 1 holds by construction (pruned during descent), so the
-    inverse below always exists.  q runs up to
+    gcd(P, L) = 1 holds by construction (the one prune, module docstring:
+    Pruning), so the inverse below always exists.  q runs up to
     rmax = min((limit - 1) // P, (P + 1) // 2): (q - 1) | (P - 1) with
     P a product of at least two primes leaves q <= (P + 1) // 2 (module
     docstring, Batched leaf layer).  A progression of at most
@@ -639,7 +640,7 @@ class _LeafBatch:
         # The last prime of the sieve leaves its parent an empty slice.
         hi = min(hi, len(sieve) - 1)
         for after, p in enumerate(sieve[lo:hi], lo + 1):
-            if carry % p == 0 or math.gcd(product, p - 1) != 1:
+            if math.gcd(product, p - 1) != 1:
                 continue
             reach2, floor = reach // p, sieve[after] ** 2
             if floor >= reach2:
@@ -699,10 +700,9 @@ class _LeafBatch:
     def _loop_slice(self, primes, product, carry, candidates) -> None:
         """Prune each candidate as `_descend` does and complete it."""
         for p in candidates:
-            if carry % p == 0 or math.gcd(product, p - 1) != 1:
-                continue
-            _complete_final(primes + (p,), product * p, math.lcm(carry, p - 1),
-                            self.limit, self.out)
+            if math.gcd(product, p - 1) == 1:
+                _complete_final(primes + (p,), product * p,
+                                math.lcm(carry, p - 1), self.limit, self.out)
 
     def flush(self) -> None:
         """Close both queues: the end of a batch."""
@@ -746,18 +746,15 @@ class _LeafBatch:
         heads, products, carries, reaches, los, his = zip(*parents)
         owner, index = _lanes(los, his)
         p = self.tables.sieve64[index]
-        carry = np.array(carries, dtype=np.int64)[owner]
-        # The pruning of `_descend`: p must not divide L, and no prime of
-        # the parent may divide p - 1 (so gcd(P, p - 1) = 1).  Shorter
-        # parents are padded with sieve_top, which divides no p - 1.
-        width = max(map(len, heads))
-        pad = (self.tables.sieve_top,) * width
+        # The prune of `_descend`: no prime of the parent divides p - 1.
+        # Shorter parents are padded with sieve_top, which divides none.
+        pad = (self.tables.sieve_top,) * max(map(len, heads))
         factors = np.array([h + pad[len(h):] for h in heads], dtype=np.int64)
-        keep = carry % p != 0
+        keep = np.ones(len(p), dtype=bool)
         for column in factors.T:
             keep &= (p - 1) % column[owner] != 0
-        keep = np.flatnonzero(keep)
-        owner, p, carry = owner[keep], p[keep], carry[keep]
+        owner, p = owner[keep], p[keep]
+        carry = np.array(carries, dtype=np.int64)[owner]
         carry = carry // np.gcd(carry, p - 1) * (p - 1)  # L2 = lcm(L, p - 1)
         # rmax = (limit - 1) // (P * p) = R // p with R = (limit - 1) // P,
         # capped at (P2 + 1) // 2 as in `_complete_final`.
@@ -813,11 +810,11 @@ def _descend(leaves: _LeafBatch, d: int, primes: tuple[int, ...], product: int,
         return
     tables = leaves.tables
     for after, p in enumerate(tables.sieve[lo:hi], lo + 1):
-        if carry % p == 0 or math.gcd(product, p - 1) != 1:
-            continue
-        reach2 = reach // p
-        _descend(leaves, d, primes + (p,), product * p, math.lcm(carry, p - 1),
-                 reach2, after, tables.child_end(reach2, d - k - 1))
+        if math.gcd(product, p - 1) == 1:
+            reach2 = reach // p
+            _descend(leaves, d, primes + (p,), product * p,
+                     math.lcm(carry, p - 1), reach2, after,
+                     tables.child_end(reach2, d - k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -247,27 +247,24 @@ class StatsReport:
     tables: tuple[str, ...] = field(default=TABLE_NAMES)
 
     def check_consistency(self) -> None:
-        """Cross-table invariants; raises AssertionError on violation."""
-        d_counts: dict[int, int] = {}
-        for (_, x), c in self.counts_by_d.items():
-            d_counts[x] = d_counts.get(x, 0) + c
-        for x, total in self.counts.items():
-            assert d_counts.get(x, 0) == total, f"per-d sum mismatch at {x}"
-        for m, table in self.residues.items():
-            per_x: dict[int, int] = {}
+        """Cross-table invariants; raises RuntimeError, not an assert."""
+        div = self.prime_divisor_counts
+        sums = {"per-d": self.counts_by_d,
+                **{f"mod-{m}": table for m, table in self.residues.items()}}
+        for name, table in sums.items():
+            total: Counter = Counter()
             for (_, x), c in table.items():
-                per_x[x] = per_x.get(x, 0) + c
-            for x, total in per_x.items():
-                assert total == self.counts[x], f"mod-{m} sum mismatch at {x}"
-        if 5 in self.residues and (5, self.checkpoints[-1]) in self.prime_divisor_counts:
-            for x in self.checkpoints:
-                assert self.residues[5][(0, x)] == self.prime_divisor_counts[(5, x)]
+                total[x] += c
+            for x, count in self.counts.items():
+                if total[x] != count:
+                    raise RuntimeError(f"{name} sum mismatch at {x}")
         for x in self.checkpoints:
-            if (3, x) in self.prime_divisor_counts:
-                assert (
-                    self.prime_divisor_counts[(3, x)]
-                    == self.least_prime_counts[(3, x)]
-                )
+            if (5 in self.residues and (5, x) in div
+                    and self.residues[5][(0, x)] != div[(5, x)]):
+                raise RuntimeError(f"mod-5 class 0 and prime 5 mismatch at {x}")
+            if (3, x) in div and div[(3, x)] != self.least_prime_counts[(3, x)]:
+                raise RuntimeError(
+                    f"prime-3 divisor and least-prime mismatch at {x}")
 
 
 def _decade_counts(counts: dict[int, int]) -> dict[int, int]:
@@ -303,6 +300,9 @@ def build_report(
                 if "residues" in tables else {})
     primes, div_counts, least_counts = [], {}, {}
     if {"prime-divisors", "least-primes"} & set(tables):
+        if prime_cap < 3:
+            raise ValueError(f"prime tables up to {prime_cap} have no rows:"
+                             " the cap must be at least 3")
         if prime_cap >= PRIME_CAP_MAX:
             raise ValueError(
                 f"prime tables up to {prime_cap} have more than"

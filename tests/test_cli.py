@@ -339,6 +339,18 @@ def test_stats_refuses_prime_tables_above_their_bound(tmp_path, capsys,
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-1", "2"])
+def test_stats_refuses_prime_tables_below_3(tmp_path, capsys, cap):
+    cat_path = tmp_path / "cat.txt"
+    main(["enumerate", "--limit", "1e6", "--out", str(cat_path)])
+    capsys.readouterr()
+    code = main(["stats", "--input", str(cat_path), "--out-dir",
+                 str(tmp_path / "t"), f"--primes-up-to={cap}"])
+    assert code == 2
+    assert f"prime tables up to {cap} have no rows" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_enumerate_refuses_a_sieve_above_its_bound(tmp_path, capsys,
                                                    monkeypatch):
     # 10**20 would sieve to 2**33: tens of GiB of Python ints.
@@ -460,6 +472,23 @@ def test_stats_rejects_a_truncated_catalog(tmp_path, capsys):
     code = main(["stats", "--input", str(cut), "--out-dir", str(tmp_path / "t")])
     assert code == 2
     assert "header count 43 but 20 records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda text: text.replace("\n1105 ", "\nxyz "), ": line 8: invalid literal"),
+    (lambda text: text[:400], ": header count 43 but 20 records"),
+], ids=["bad record", "truncated"])
+def test_stats_names_the_catalog_in_a_format_error(tmp_path, capsys, damage,
+                                                   message):
+    cat_path = tmp_path / "cat.txt"
+    main(["enumerate", "--limit", "1e6", "--out", str(cat_path)])
+    capsys.readouterr()
+    cat_path.write_text(damage(cat_path.read_text()))
+    code = main(["stats", "--input", str(cat_path), "--out-dir",
+                 str(tmp_path / "t")])
+    assert code == 2
+    assert f"carmichael stats: {cat_path}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("restrict", [["--min-factors", "4"], ["--max-factors", "4"]])

@@ -82,19 +82,26 @@ def test_inverse_mod_raises_on_a_lane_without_inverse():
 class _Recorder(_LeafBatch):
     """A `_LeafBatch` that keeps what the search hands it, and queues
     nothing: the nodes of d - 3 primes (`add_children`) and the leaf
-    parents their loop routes."""
+    parents their loop routes.  Each must hand on a slice that starts past
+    its last prime."""
 
     def __init__(self, limit, tables):
         super().__init__(limit, tables)
         self.nodes, self.routed = [], []
 
+    def past(self, primes, lo):
+        """Whether sieve[lo:] lies above every prime of the prefix."""
+        return not primes or lo >= bisect_right(self.tables.sieve, primes[-1])
+
     def add_children(self, primes, product, carry, reach, lo, hi):
         assert reach == (self.limit - 1) // product
+        assert self.past(primes, lo)
         self.nodes.append((primes, product, carry, lo, hi))
         super().add_children(primes, product, carry, reach, lo, hi)
 
     def _route(self, primes, product, carry, reach, lo, hi, start, count):
         assert reach == (self.limit - 1) // product
+        assert self.past(primes, lo)
         self.routed.append((primes, product, carry, lo, hi))
 
 
@@ -239,6 +246,20 @@ def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
     routed, live = set(recorder.routed), set(parents) - set(empty)
     assert routed <= live
     assert scalar_leaves(live - routed, limit, tables) == []
+
+
+@pytest.mark.parametrize("limit, d", [(10**9, None), (2**67, 12)])
+def test_every_slice_starts_past_its_prefix(limit, d):
+    # The descent's one prune rests on this: a child p above every prime
+    # pi of its prefix divides no pi - 1, so p never divides L.  The
+    # recorder checks each node and each routed parent as it comes.
+    tables = _Tables.for_limit(limit, d or 3)
+    recorder = record(limit, tables, d)
+    tasks = _seed_tasks(limit, d or 3, d or max_factor_count(limit), tables)
+    assert all(recorder.past(prefix, lo) for _, prefix, lo, _ in tasks)
+    # Nodes below a task's prefix, which `_descend` formed, are among them.
+    assert any(len(primes) > 1 for primes, *_ in recorder.nodes)
+    assert recorder.routed
 
 
 class ClassSpy:

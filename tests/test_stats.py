@@ -304,3 +304,12 @@ def test_stats_files_are_pinned_byte_for_byte(tmp_path, capsys):
         reversed(line.split()) for line in PINNED_SHA256.split("\n") if line
     )
     assert got == expected
+
+
+def test_an_inconsistent_report_raises_runtime_error():
+    # Not an assert, which `python -O` would drop.
+    report = build_report(catalog_1e6())
+    report.check_consistency()
+    report.counts[10**5] += 1
+    with pytest.raises(RuntimeError, match="per-d sum mismatch at 100000"):
+        report.check_consistency()
