@@ -17,17 +17,18 @@ that fails never leaves a partial catalog behind.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
-import io
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import __version__
 from .korselt import CarmichaelEntry
 
 __all__ = ["Catalog", "CatalogFormatError", "write_catalog", "read_catalog",
-           "complete_provenance"]
+           "open_text", "complete_provenance"]
 
 
 class CatalogFormatError(Exception):
@@ -105,42 +106,41 @@ def write_catalog(cat: Catalog, destination: str | Path) -> None:
         raise
 
 
-def _open_text(source: str | Path) -> io.TextIOBase:
+@contextlib.contextmanager
+def open_text(source: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file, decompressing it when its name ends in .gz.
+
+    A compressed stream that ends early is a `CatalogFormatError` when
+    the body of the `with` reads past its end.
+    """
     path = Path(source)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, encoding="utf-8")
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "rt", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except EOFError:
+            raise CatalogFormatError(
+                "the compressed stream ends early: the catalog is truncated"
+            ) from None
 
 
-def _lines(fh):
-    """The lines of fh; a compressed stream that ends early is an error."""
-    try:
-        yield from fh
-    except EOFError:
-        raise CatalogFormatError(
-            "the compressed stream ends early: the catalog is truncated"
-        ) from None
+def read_catalog(source: str | Path) -> Catalog:
+    """Parse a catalog file, plain or .gz (`open_text`).
 
-
-def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
-    """Parse a catalog file; optionally re-verify every entry.
-
-    With validate=True each record is checked against the full entry
-    invariants (ascending prime factors, correct product, the Korselt
-    divisibility conditions), which makes corrupted records loud.  A
-    last record without a line end, or a `count` header that disagrees
-    with the records read, is always an error, so a truncated file cannot
-    pass for a shorter catalog; so is a record at or above the `limit`
-    header, which every writer of catalogs keeps below, and a `limit`,
-    `d_min` or `d_max` header that is not a whole number in decimal
-    digits.
+    Records are parsed, not re-verified: `CarmichaelEntry.validate`
+    checks an entry in full.  A last record without a line end, or a
+    `count` header that disagrees with the records read, is an error, so
+    a truncated file cannot pass for a shorter catalog; so is a record at
+    or above the `limit` header, which every writer of catalogs keeps
+    below, and a `limit`, `d_min` or `d_max` header that is not a whole
+    number in decimal digits.
     """
     entries: list[CarmichaelEntry] = []
     provenance: dict[str, str] = {}
     last = 0
     cut_short = False
-    with _open_text(source) as fh:
-        for lineno, raw in enumerate(_lines(fh), start=1):
+    with open_text(source) as fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
@@ -170,11 +170,6 @@ def read_catalog(source: str | Path, validate: bool = False) -> Catalog:
                     f"line {lineno}: records not strictly ascending"
                 )
             last = entry.value
-            if validate:
-                try:
-                    entry.validate()
-                except ValueError as exc:
-                    raise CatalogFormatError(f"line {lineno}: {exc}") from None
             entries.append(entry)
             cut_short = not raw.endswith("\n")
     declared = provenance.get("count")

@@ -101,9 +101,10 @@ progressions from 8,837 to 200; at 10**12 from 19.8M to 9.7M and from
 32,235 to 1,805.
 
 At or below 2**62 (`_BATCH_LIMIT`) the batch queues the parent: its
-slice, or its class of p * q (Residue-class route).  Each queue closes
-on its own once it holds `_FLUSH` = 2**14 lanes, across tasks, and the
-end of a batch closes both.  Closing the slice queue is one int64 numpy
+slice, or its class of p * q (Residue-class route), each on a `_Queue`,
+the one place that cuts and closes: it closes each time it holds
+`_FLUSH` = 2**14 lanes, across tasks, and the end of a batch closes
+both.  Closing the slice queue is one int64 numpy
 pass: it expands the slices, applies the pruning of the descent, forms
 L2 = lcm(L, p - 1), P2 = P * p and rmax, takes t = P2^-1 (mod L2) by a
 lane-wise extended Euclid (`_inverse_mod`) and drops the lanes with no
@@ -587,6 +588,34 @@ def _class_values(product: int, carry: int, floor: int,
     return start, (reach - start) // carry + 1
 
 
+class _Queue:
+    """A queue of the batched leaf layer: its items, each a head and a
+    lane range (lo, hi), and their lane count.  `add` cuts each range so
+    that the queue hands its items to `close` whenever it holds `_FLUSH`
+    lanes, and `flush` hands over the rest: every close but a batch's
+    last gets exactly `_FLUSH` lanes.  The close is passed in, not kept:
+    a queue holding its batch's bound method would make a cycle that
+    keeps a finished batch, and its tables, until a full collection."""
+
+    def __init__(self):
+        self.items: list[tuple] = []
+        self.lanes = 0
+
+    def add(self, head: tuple, lo: int, hi: int, close) -> None:
+        while lo < hi:
+            take = min(hi - lo, _FLUSH - self.lanes)
+            self.items.append(head + (lo, lo + take))
+            self.lanes += take
+            lo += take
+            if self.lanes >= _FLUSH:
+                self.flush(close)
+
+    def flush(self, close) -> None:
+        items, self.items, self.lanes = self.items, [], 0
+        if items:
+            close(items)
+
+
 class _LeafBatch:
     """The leaf layer of one batch of tasks: its limit, its tables, the
     emissions (N, primes) it has made and not yet handed on (`out`), and
@@ -598,10 +627,10 @@ class _LeafBatch:
     of p * p' * q is empty, and forms the leaf parent of each child that
     passes the descent's prune.  It counts each parent's class once,
     drops the parent when the class is empty and hands it to `_route`
-    otherwise.  At or below
-    `_BATCH_LIMIT` `_route` queues the class or the slice, and closes
-    that queue alone in int64 numpy once it holds `_FLUSH` lanes; `flush`
-    closes both at the end of a batch.
+    otherwise.  At or below `_BATCH_LIMIT` `_route` adds the class or
+    the slice to its `_Queue`, `classes` or `slices`, the one place that
+    cuts and closes: a full queue closes alone, in int64 numpy, and
+    `flush` closes both at the end of a batch.
     Above it `_route` closes each parent at once, in Python ints: it walks
     a class of fewer than `_CLASS_RATIO` values and loops any other
     parent's slice.  The arithmetic that keeps an emission proves it
@@ -613,12 +642,11 @@ class _LeafBatch:
         self.limit = limit
         self.tables = tables
         self.out: list = []
-        # (primes, product, carry, reach, lo, hi)
-        self.parents: list[tuple] = []
         # (primes, product, carry, pmin, pmax, start, lo, hi): the class
         # values w = start + j * carry for lo <= j < hi.
-        self.classes: list[tuple] = []
-        self.pending = self.class_pending = 0  # lanes queued on each
+        self.classes = _Queue()
+        # (primes, product, carry, reach, lo, hi): the candidates sieve[lo:hi].
+        self.slices = _Queue()
 
     def add_children(self, primes, product, carry, reach, lo, hi) -> None:
         """Close or queue the leaf parents below a node of d - 3 primes
@@ -664,24 +692,11 @@ class _LeafBatch:
                 self._loop_slice(primes, product, carry, sieve[lo:hi])
             return
         if reach < self.tables.spf_limit and count < _CLASS_RATIO * (hi - lo):
-            head = (primes, product, carry, sieve[lo], sieve[hi - 1], start)
-            # Both queues are cut into pieces of at most _FLUSH lanes.
-            jlo = 0
-            while jlo < count:
-                take = min(count - jlo, _FLUSH - self.class_pending)
-                self.classes.append(head + (jlo, jlo + take))
-                self.class_pending += take
-                jlo += take
-                if self.class_pending >= _FLUSH:
-                    self._flush_classes()
-            return
-        while lo < hi:
-            take = min(hi - lo, _FLUSH - self.pending)
-            self.parents.append((primes, product, carry, reach, lo, lo + take))
-            self.pending += take
-            lo += take
-            if self.pending >= _FLUSH:
-                self._flush_slices()
+            self.classes.add((primes, product, carry, sieve[lo], sieve[hi - 1],
+                              start), 0, count, self._close_classes)
+        else:
+            self.slices.add((primes, product, carry, reach), lo, hi,
+                            self._close_slices)
 
     def _walk_class(self, primes, product, values, candidates) -> None:
         """Emit P * w for each class value w = p * q with p the first of
@@ -706,18 +721,8 @@ class _LeafBatch:
 
     def flush(self) -> None:
         """Close both queues: the end of a batch."""
-        self._flush_classes()
-        self._flush_slices()
-
-    def _flush_classes(self) -> None:
-        classes, self.classes, self.class_pending = self.classes, [], 0
-        if classes:
-            self._close_classes(classes)
-
-    def _flush_slices(self) -> None:
-        parents, self.parents, self.pending = self.parents, [], 0
-        if parents:
-            self._close_slices(parents)
+        self.classes.flush(self._close_classes)
+        self.slices.flush(self._close_slices)
 
     def _close_classes(self, classes: list) -> None:
         heads, products, carries, pmins, pmaxs, starts, los, his = zip(*classes)

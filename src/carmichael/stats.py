@@ -283,6 +283,9 @@ def build_report(
     prime_cap: int = DEFAULT_PRIME_CAP,
     tables: tuple[str, ...] = TABLE_NAMES,
 ) -> StatsReport:
+    unknown = set(tables) - set(TABLE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown tables {sorted(unknown)}")
     if cps is None:
         bound = cat.limit
         if bound is None:

@@ -31,8 +31,10 @@ def test_roundtrip_identity(tmp_path):
     path = tmp_path / "cat.txt"
     cat = small_catalog()
     write_catalog(cat, path)
-    back = read_catalog(path, validate=True)
+    back = read_catalog(path)
     assert back.entries == cat.entries
+    for entry in back.entries:
+        entry.validate()
     assert back.provenance["limit"] == "10000"
     assert back.limit == 10000
 
@@ -58,7 +60,10 @@ def test_gzip_roundtrip(tmp_path):
     write_catalog(cat, path)
     with gzip.open(path, "rt") as fh:
         assert "561 3 11 17" in fh.read()
-    assert read_catalog(path, validate=True).entries == cat.entries
+    back = read_catalog(path)
+    assert back.entries == cat.entries
+    for entry in back.entries:
+        entry.validate()
 
 
 def test_gzip_writes_are_deterministic(tmp_path):
@@ -71,9 +76,9 @@ def test_gzip_writes_are_deterministic(tmp_path):
 def test_validation_catches_bad_prime(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# limit: 1000\n561 3 11 18\n")
-    read_catalog(path, validate=False)  # parses
-    with pytest.raises(CatalogFormatError, match="line 2.*18"):
-        read_catalog(path, validate=True)
+    (entry,) = read_catalog(path).entries  # parses
+    with pytest.raises(ValueError, match="561: factor 18 is not prime"):
+        entry.validate()
 
 
 def test_unsorted_input_is_a_format_error(tmp_path):

@@ -90,6 +90,25 @@ def test_verify_from_file(tmp_path, capsys):
     assert out == ["561 carmichael", "41041 carmichael"]
 
 
+def test_verify_reads_a_gz_catalog(tmp_path, capsys):
+    path = tmp_path / "c.txt.gz"
+    assert main(["enumerate", "--limit", "1e6", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--file", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 43 and all(line.endswith(" carmichael") for line in out)
+    # A compressed stream that ends early is a damaged catalog.
+    path.write_bytes(path.read_bytes()[:-20])
+    assert main(["verify", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "carmichael verify: the compressed stream ends early")
+
+
+def test_verify_with_no_numbers_is_a_usage_error(capsys):
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == "carmichael verify: no numbers given\n"
+
+
 def test_verify_names_the_line_of_a_file_that_is_not_a_number(tmp_path,
                                                               capsys):
     path = tmp_path / "nums.txt"
@@ -423,6 +442,9 @@ def test_stats_unknown_table_usage_error(tmp_path, capsys):
         )
         == 2
     )
+    assert capsys.readouterr().err == (
+        "carmichael stats: unknown tables ['bogus']\n")
+    assert not (tmp_path / "t").exists()
 
 
 def test_stats_checkpoint_beyond_catalog_bound(tmp_path, capsys):

@@ -375,7 +375,7 @@ def test_descend_closes_prefixes_with_prime_pairs(monkeypatch, batched):
         leaves = _LeafBatch(limit, _Tables.for_limit(limit))
         i = leaves.tables.sieve.index(p1)
         out = _run_task_impl((3, (), i, i + 1), leaves, False)
-        assert bool(leaves.parents) == batched
+        assert bool(leaves.slices.items) == batched
         leaves.flush()
         return sorted(fs[-2:] for _, fs in out + leaves.out)
 

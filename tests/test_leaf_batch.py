@@ -36,6 +36,7 @@ from carmichael.enumerator import (
     _complete_final,
     _inverse_mod,
     _LeafBatch,
+    _Queue,
     _run_task_impl,
     _seed_tasks,
     _spf_table,
@@ -198,7 +199,7 @@ def test_one_class_count_routes_each_parent_below_2_62(monkeypatch):
         by_class = (reach < tables.spf_limit
                     and count < enumerator._CLASS_RATIO * (hi - lo))
         queued = "empty" if count == 0 else "class" if by_class else "slice"
-        assert (bool(batch.classes), bool(batch.parents)) == (
+        assert (bool(batch.classes.items), bool(batch.slices.items)) == (
             queued == "class", queued == "slice")
         routes[queued] += 1
         # Counted over all of [1, R] instead of (pmin**2, R], some classes
@@ -219,7 +220,7 @@ def test_an_empty_class_closes_its_parent(monkeypatch, limit, d):
         batch, closed = _LeafBatch(limit, tables), routes.closed_at_once()
         add_parent(batch, (primes, product, carry, lo, hi))
         # Queued at or below 2**62, walked or looped above it.
-        closed = (batch.pending + batch.class_pending
+        closed = (batch.slices.lanes + batch.classes.lanes
                   + routes.closed_at_once() - closed)
         # The first w = p * q = P^-1 (mod L) above pmin**2, against R.
         floor, c = tables.sieve[lo] ** 2, pow(product, -1, carry)
@@ -455,6 +456,29 @@ def test_each_queue_closes_only_when_it_is_full(monkeypatch, limit, flush):
         full = [lanes for sizes in batches.values() for lanes in sizes[:-1]]
         assert len(full) > len(batches), name
         assert set(full) == {enumerator._FLUSH}, name
+
+
+def test_a_queue_cuts_its_ranges_into_full_closes(monkeypatch):
+    monkeypatch.setattr(enumerator, "_FLUSH", 7)
+    closes = []
+    queue = _Queue()
+    queue.flush(closes.append)
+    assert closes == []  # an empty queue closes nothing
+    ranges = {("a",): (3, 20), ("b", 1): (0, 16)}
+    for head, (lo, hi) in ranges.items():
+        queue.add(head, lo, hi, closes.append)
+    queue.flush(closes.append)
+    lanes = [sum(hi - lo for *_, lo, hi in items) for items in closes]
+    assert lanes == [7, 7, 7, 7, 5]  # 33 lanes: full closes, then the rest
+    for head, (lo, hi) in ranges.items():
+        pieces = [item[-2:] for items in closes for item in items
+                  if item[:-2] == head]
+        assert len(pieces) > 2
+        # Consecutive pieces that cover [lo, hi) once each.
+        assert [a for a, _ in pieces] == [lo] + [b for _, b in pieces[:-1]]
+        assert pieces[-1][1] == hi and all(a < b for a, b in pieces)
+    queue.flush(closes.append)
+    assert len(closes) == 5 and queue.lanes == 0
 
 
 # 2741311 = 1171 * 2341 = P2 of the Chernick number 1171 * 2341 * 3511
@@ -850,7 +874,7 @@ def test_limits_above_2_62_queue_nothing(monkeypatch):
     flush = _LeafBatch.flush
 
     def spy(self):
-        flushed.append(len(self.parents) + len(self.classes))
+        flushed.append(len(self.slices.items) + len(self.classes.items))
         flush(self)
 
     monkeypatch.setattr(_LeafBatch, "flush", spy)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from carmichael import stats
 from carmichael.catalog import Catalog
 from carmichael.cli import main
 from carmichael.korselt import PAPER_COUNTS, oracle_enumerate
@@ -195,6 +196,15 @@ def test_without_a_limit_d_max_is_judged_at_the_largest_checkpoint(cps, whole):
     # 997633, below which there are up to 5 prime factors.
     with pytest.raises(ValueError, match="d = 3..3 prime factors"):
         build_report(cat)
+
+
+def test_an_unknown_table_is_refused_before_anything_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(stats, "count_table", refuse)
+    with pytest.raises(ValueError, match=r"unknown tables \['bogus'\]"):
+        build_report(catalog_1e6(), tables=("counts", "bogus"))
 
 
 def test_write_report_files(tmp_path):
